@@ -39,7 +39,7 @@
 use perconf_pipeline::{PipelineConfig, Simulation};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -219,18 +219,10 @@ fn measure(runs: u32) -> Report {
     }
 }
 
-fn write_json(path: &PathBuf, report: &Report) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
+fn write_json(path: &Path, report: &Report) -> Result<(), String> {
     let body =
         serde_json::to_string_pretty(report).map_err(|e| format!("cannot serialize: {e}"))?;
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, body)
-        .and_then(|()| std::fs::rename(&tmp, path))
+    perconf_bpred::atomic_write(path, &[body.as_bytes()], true)
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 

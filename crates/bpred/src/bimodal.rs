@@ -1,6 +1,6 @@
 use crate::counter::SatCounter;
 use crate::faultable::FaultableState;
-use crate::snapshot::{Snapshot, StateDigest};
+use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
 use serde::{Deserialize, Serialize};
 
@@ -83,15 +83,6 @@ impl FaultableState for Bimodal {
 
 impl Snapshot for Bimodal {
     crate::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.index_bits));
-        for c in &self.table {
-            d.byte(c.value());
-        }
-        d.finish()
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 use crate::counter::SatCounter;
 use crate::faultable::FaultableState;
-use crate::snapshot::{Snapshot, StateDigest};
+use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
 use serde::{Deserialize, Serialize};
 
@@ -96,16 +96,6 @@ impl FaultableState for Gshare {
 
 impl Snapshot for Gshare {
     crate::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.index_bits))
-            .word(u64::from(self.hist_bits));
-        for c in &self.table {
-            d.byte(c.value());
-        }
-        d.finish()
-    }
 }
 
 #[cfg(test)]

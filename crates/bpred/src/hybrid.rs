@@ -1,6 +1,6 @@
 use crate::counter::SatCounter;
 use crate::faultable::FaultableState;
-use crate::snapshot::{Snapshot, SnapshotError, StateDigest};
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::traits::BranchPredictor;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -159,17 +159,6 @@ where
     fn restore_state(&mut self, state: &Value) -> Result<(), SnapshotError> {
         *self = Self::from_value(state).map_err(SnapshotError::from_de)?;
         Ok(())
-    }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(self.a.state_digest())
-            .word(self.b.state_digest())
-            .word(u64::from(self.meta_bits));
-        for c in &self.meta {
-            d.byte(c.value());
-        }
-        d.finish()
     }
 }
 

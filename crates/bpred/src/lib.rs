@@ -23,6 +23,11 @@
 //! `train` is applied non-speculatively (at retirement) with the same
 //! snapshot that was live at prediction time.
 //!
+//! The crate also hosts what every persisted file in the workspace
+//! shares, beside the FNV-1a digest they use: [`atomic_write`], the one
+//! atomic file writer, and [`frame`], the one checksummed container.
+//! It depends only on serde, so every other crate can reach them.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,6 +49,7 @@
 mod bimodal;
 mod counter;
 mod faultable;
+pub mod frame;
 mod gshare;
 mod history;
 mod hybrid;
@@ -56,6 +62,7 @@ mod traits;
 pub use bimodal::Bimodal;
 pub use counter::{ResettingCounter, SatCounter};
 pub use faultable::{FaultablePredictor, FaultableState};
+pub use frame::atomic_write;
 pub use gshare::Gshare;
 pub use history::GlobalHistory;
 pub use hybrid::Hybrid;

@@ -1,6 +1,6 @@
 use crate::counter::SatCounter;
 use crate::faultable::FaultableState;
-use crate::snapshot::{Snapshot, StateDigest};
+use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -141,22 +141,6 @@ impl FaultableState for PasPredictor {
 
 impl Snapshot for PasPredictor {
     crate::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.bht_bits))
-            .word(u64::from(self.hist_bits));
-        for &h in &self.local_hist {
-            d.word(u64::from(h));
-        }
-        for c in &self.pattern_table {
-            d.byte(c.value());
-        }
-        // last_pattern is observable through last_pattern(), so it is
-        // part of the replayable state.
-        d.word(u64::from(self.last_pattern.get()));
-        d.finish()
-    }
 }
 
 #[cfg(test)]

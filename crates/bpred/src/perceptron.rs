@@ -1,5 +1,5 @@
 use crate::faultable::FaultableState;
-use crate::snapshot::{Snapshot, StateDigest};
+use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
 use serde::{Deserialize, Serialize};
 
@@ -197,19 +197,6 @@ impl FaultableState for PerceptronPredictor {
 
 impl Snapshot for PerceptronPredictor {
     crate::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.entries))
-            .word(u64::from(self.hist_len))
-            .signed(i64::from(self.weight_min))
-            .signed(i64::from(self.weight_max))
-            .signed(i64::from(self.theta));
-        for &w in &self.weights {
-            d.signed(i64::from(w));
-        }
-        d.finish()
-    }
 }
 
 #[cfg(test)]

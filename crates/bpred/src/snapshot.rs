@@ -5,7 +5,7 @@
 //! `perconf-workload`, the full pipeline in `perconf-pipeline`)
 //! implements [`Snapshot`]: its state can be rendered into a
 //! serde [`Value`] tree, restored from one, and summarised into a
-//! stable 64-bit [FNV-1a] digest. Digests are the backbone of the
+//! stable 64-bit [FNV-1a] digest of that tree. Digests are the backbone of the
 //! deterministic-replay verification in `perconf-experiments`: two runs
 //! of the same configuration must produce identical digests at every
 //! comparison point, so the first differing digest localises
@@ -93,10 +93,13 @@ pub trait Snapshot {
     /// Returns [`SnapshotError`] on shape or configuration mismatch.
     fn restore_state(&mut self, state: &Value) -> Result<(), SnapshotError>;
 
-    /// A stable 64-bit digest of the current state. Equal states give
-    /// equal digests; digests are cheap enough to compute every cycle
-    /// in a lockstep divergence probe.
-    fn state_digest(&self) -> u64;
+    /// A stable 64-bit digest of the current state: the FNV-1a fold of
+    /// [`save_state`](Self::save_state)'s tree ([`digest_value`]).
+    /// Derived, never hand-written, so it covers exactly what a
+    /// snapshot persists — equal saved states give equal digests.
+    fn state_digest(&self) -> u64 {
+        digest_value(&self.save_state())
+    }
 }
 
 impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
@@ -106,10 +109,6 @@ impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
 
     fn restore_state(&mut self, state: &Value) -> Result<(), SnapshotError> {
         (**self).restore_state(state)
-    }
-
-    fn state_digest(&self) -> u64 {
-        (**self).state_digest()
     }
 }
 
@@ -122,9 +121,8 @@ impl<T: crate::traits::BranchPredictor + Snapshot> SimPredictor for T {}
 
 /// Expands to the [`Snapshot`] `save_state`/`restore_state` methods for
 /// a `Serialize + Deserialize` type, serialising the whole struct.
-/// Invoke inside an `impl Snapshot for T` block, then write
-/// `state_digest` by hand (digests are hand-rolled over the raw fields
-/// so they stay fast enough for per-cycle use).
+/// Invoke inside an `impl Snapshot for T` block; `state_digest` is the
+/// trait's provided method, derived from `save_state`.
 #[macro_export]
 macro_rules! snapshot_serde_body {
     () => {
@@ -146,10 +144,11 @@ macro_rules! snapshot_serde_body {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a 64 hasher used by every `state_digest`
-/// implementation. Deliberately not `std::hash::Hasher`: the std trait
-/// makes no cross-run stability promise, while experiment artifacts
-/// persist digests to disk and compare them across processes.
+/// Incremental FNV-1a 64 hasher behind every digest in the workspace
+/// (state digests, frame payloads). Deliberately not
+/// `std::hash::Hasher`: the std trait makes no cross-run stability
+/// promise, while experiment artifacts persist digests to disk and
+/// compare them across processes.
 ///
 /// # Examples
 ///
@@ -225,9 +224,9 @@ impl StateDigest {
     }
 }
 
-/// Digests a byte slice in one call — the hash used for on-disk
-/// container payloads (snapshot and trace files), exposed here so
-/// every consumer shares a single FNV-1a implementation.
+/// Digests a byte slice in one call — the hash [`crate::frame`] uses
+/// for on-disk payloads, exposed here so every consumer shares a
+/// single FNV-1a implementation.
 #[must_use]
 pub fn digest_bytes(bytes: &[u8]) -> u64 {
     let mut d = StateDigest::new();
@@ -235,9 +234,8 @@ pub fn digest_bytes(bytes: &[u8]) -> u64 {
     d.finish()
 }
 
-/// Digests an arbitrary value tree. Slower than a hand-rolled field
-/// digest (it walks the serialised form) but handy as a fallback for
-/// components whose state is digested rarely.
+/// Digests an arbitrary value tree — the provided
+/// [`Snapshot::state_digest`] applied to `save_state()`.
 #[must_use]
 pub fn digest_value(v: &Value) -> u64 {
     let mut d = StateDigest::new();

@@ -1,6 +1,6 @@
 use crate::counter::SatCounter;
 use crate::faultable::FaultableState;
-use crate::snapshot::{Snapshot, StateDigest};
+use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
 use serde::{Deserialize, Serialize};
 
@@ -353,24 +353,6 @@ impl FaultableState for Tage {
 
 impl Snapshot for Tage {
     crate::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.base_bits));
-        for c in &self.base {
-            d.byte(c.value());
-        }
-        for t in &self.tables {
-            d.word(u64::from(t.hist_len));
-            for e in &t.entries {
-                d.word(u64::from(e.tag))
-                    .byte(e.ctr.value())
-                    .byte(e.useful.value());
-            }
-        }
-        d.byte(self.use_alt.value()).word(self.tick);
-        d.finish()
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{Snapshot, SnapshotError, StateDigest};
+use perconf_bpred::{Snapshot, SnapshotError};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// How a [`CompositeCe`] merges its two components' classifications.
@@ -147,17 +147,6 @@ where
     fn restore_state(&mut self, state: &Value) -> Result<(), SnapshotError> {
         *self = Self::from_value(state).map_err(SnapshotError::from_de)?;
         Ok(())
-    }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(self.a.state_digest())
-            .word(self.b.state_digest())
-            .byte(match self.rule {
-                CombineRule::Both => 0,
-                CombineRule::Either => 1,
-            });
-        d.finish()
     }
 }
 

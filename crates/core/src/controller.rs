@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{BranchPredictor, Snapshot, SnapshotError, StateDigest};
+use perconf_bpred::{BranchPredictor, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize, Value};
 
 /// The front-end decision for one fetched branch: the (possibly
@@ -165,13 +165,6 @@ impl<P: Snapshot, C: Snapshot> Snapshot for SpeculationController<P, C> {
         self.predictor.restore_state(p)?;
         self.estimator.restore_state(e)?;
         Ok(())
-    }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(self.predictor.state_digest())
-            .word(self.estimator.state_digest());
-        d.finish()
     }
 }
 

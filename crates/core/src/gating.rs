@@ -1,4 +1,4 @@
-use perconf_bpred::{Snapshot, StateDigest};
+use perconf_bpred::Snapshot;
 use serde::{Deserialize, Serialize};
 
 /// The low-confidence branch counter at the heart of pipeline gating
@@ -90,13 +90,6 @@ impl GateCounter {
 
 impl Snapshot for GateCounter {
     perconf_bpred::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.count))
-            .word(u64::from(self.threshold));
-        d.finish()
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{FaultableState, ResettingCounter, SatCounter, Snapshot, StateDigest};
+use perconf_bpred::{FaultableState, ResettingCounter, SatCounter, Snapshot};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// How a JRS table entry reacts to a misprediction.
@@ -191,26 +191,6 @@ impl FaultableState for JrsEstimator {
 
 impl Snapshot for JrsEstimator {
     perconf_bpred::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.cfg.index_bits));
-        match &self.table {
-            CounterTable::Resetting(t) => {
-                d.byte(0);
-                for c in t {
-                    d.byte(c.value());
-                }
-            }
-            CounterTable::Saturating(t) => {
-                d.byte(1);
-                for c in t {
-                    d.byte(c.value());
-                }
-            }
-        }
-        d.finish()
-    }
 }
 
 impl ConfidenceEstimator for JrsEstimator {

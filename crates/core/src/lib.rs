@@ -93,12 +93,6 @@ impl perconf_bpred::Snapshot for AlwaysHigh {
     fn restore_state(&mut self, _state: &serde::Value) -> Result<(), perconf_bpred::SnapshotError> {
         Ok(())
     }
-
-    fn state_digest(&self) -> u64 {
-        // Stateless: any fixed value works; distinct from the empty
-        // FNV basis so an AlwaysHigh slot is visible in parent digests.
-        0x416c_7761_7973_4869 // "AlwaysHi"
-    }
 }
 
 impl ConfidenceEstimator for AlwaysHigh {

@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{flip_weight_bit, FaultableState, Snapshot, StateDigest};
+use perconf_bpred::{flip_weight_bit, FaultableState, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the paper's perceptron confidence estimator.
@@ -220,18 +220,6 @@ impl FaultableState for PerceptronCe {
 
 impl Snapshot for PerceptronCe {
     perconf_bpred::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.cfg.entries))
-            .word(u64::from(self.cfg.hist_len))
-            .signed(i64::from(self.weight_min))
-            .signed(i64::from(self.weight_max));
-        for &w in &self.weights {
-            d.signed(i64::from(w));
-        }
-        d.finish()
-    }
 }
 
 impl ConfidenceEstimator for PerceptronCe {

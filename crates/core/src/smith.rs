@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{FaultableState, SatCounter, Snapshot, StateDigest};
+use perconf_bpred::{FaultableState, SatCounter, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// Smith's counter-based confidence scheme (1981, as evaluated by
@@ -69,15 +69,6 @@ impl FaultableState for SmithCe {
 
 impl Snapshot for SmithCe {
     perconf_bpred::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.index_bits)).byte(self.counter_bits);
-        for c in &self.table {
-            d.byte(c.value());
-        }
-        d.finish()
-    }
 }
 
 impl ConfidenceEstimator for SmithCe {

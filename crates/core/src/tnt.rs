@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{BranchPredictor, FaultableState, PerceptronPredictor, Snapshot, StateDigest};
+use perconf_bpred::{BranchPredictor, FaultableState, PerceptronPredictor, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of [`PerceptronTnt`].
@@ -95,13 +95,6 @@ impl FaultableState for PerceptronTnt {
 
 impl Snapshot for PerceptronTnt {
     perconf_bpred::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(self.predictor.state_digest())
-            .signed(i64::from(self.cfg.lambda));
-        d.finish()
-    }
 }
 
 impl ConfidenceEstimator for PerceptronTnt {

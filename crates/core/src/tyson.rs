@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{Snapshot, StateDigest};
+use perconf_bpred::Snapshot;
 use serde::{Deserialize, Serialize};
 
 /// Tyson, Lick & Farrens' pattern-history confidence estimator: keep a
@@ -66,16 +66,6 @@ impl TysonCe {
 
 impl Snapshot for TysonCe {
     perconf_bpred::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(u64::from(self.index_bits))
-            .word(u64::from(self.hist_bits));
-        for &h in &self.local_hist {
-            d.word(u64::from(h));
-        }
-        d.finish()
-    }
 }
 
 impl ConfidenceEstimator for TysonCe {

@@ -188,10 +188,8 @@ impl RunFailure {
     }
 }
 
-/// Writes `body` to `path` atomically (sibling temp file + rename),
-/// refusing to replace an existing file unless `force` is set. The
-/// temp file is fsynced before the rename, matching the snapshot
-/// container's crash-safety conventions.
+/// Writes `body` to `path` durably and atomically, refusing to
+/// replace an existing file unless `force` is set.
 fn write_guarded(path: &Path, body: &str, force: bool) -> Result<(), String> {
     if path.exists() && !force {
         return Err(format!(
@@ -199,26 +197,8 @@ fn write_guarded(path: &Path, body: &str, force: bool) -> Result<(), String> {
             path.display()
         ));
     }
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    let mut tmp_name = path
-        .file_name()
-        .map_or_else(|| "out".into(), std::ffi::OsStr::to_os_string);
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    (|| -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-    })()
-    .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    perconf_bpred::atomic_write(path, &[body.as_bytes()], true)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Up-front collision check for every `--*-out` style destination, so

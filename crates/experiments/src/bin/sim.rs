@@ -231,12 +231,10 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
-/// Stages to a `.tmp` sibling and renames, so an interrupted run
-/// never leaves a torn artifact at the final path.
+/// Writes an artifact atomically, so an interrupted run never leaves
+/// a torn file at the final path.
 fn write_staged(path: &std::path::Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)
-        .and_then(|()| std::fs::rename(&tmp, path))
+    perconf_bpred::atomic_write(path, &[bytes], true)
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 

@@ -43,7 +43,9 @@ pub use worker::{run_worker, WorkerConfig, CHAOS_EXIT};
 
 use crate::common::Scale;
 use crate::faults::{cell_seed, run_cell, table_from_cells, FaultCell, FaultTable, Grid};
-use crate::runner::{gc_dir, note_degraded, GcReport, Runner, RunnerConfig};
+use crate::runner::{
+    failure_kind, gc_dir, load_final_checkpoint, note_degraded, GcReport, Runner, RunnerConfig,
+};
 use perconf_faults::process::render_script;
 use perconf_faults::{ChaosConfig, ChaosPlan};
 use perconf_obs::CounterSnapshot;
@@ -240,7 +242,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<(FaultTable, DistribReport), Strin
 
     match serde_json::to_string_pretty(&report) {
         Ok(text) => {
-            if let Err(e) = std::fs::write(queue.root().join("report.json"), text) {
+            let path = queue.root().join("report.json");
+            if let Err(e) = perconf_bpred::atomic_write(&path, &[text.as_bytes()], true) {
                 eprintln!("warning: cannot write sweep report: {e}");
             }
         }
@@ -337,9 +340,10 @@ fn merge(
     queue: &Queue,
     report: &mut DistribReport,
 ) -> Result<(FaultTable, GcReport), String> {
+    let cells_dir = queue.cells_dir();
     let mut runner = Runner::new(RunnerConfig {
         timeout: cfg.cell_timeout,
-        ..RunnerConfig::resuming(queue.cells_dir())
+        ..RunnerConfig::resuming(&cells_dir)
     });
     let manifest = queue.manifest().clone();
     let mut cells: Vec<FaultCell> = Vec::new();
@@ -351,17 +355,15 @@ fn merge(
         // No (usable) published result. A worker may have died between
         // completing the lease and publishing — its final checkpoint
         // has the bytes.
-        if let Some(path) = runner.checkpoint_path(&desc.key) {
-            if let Some(cell) = read_checkpoint_cell(&path) {
-                queue.publish_result(&desc.key, &cell);
-                report.cells_recovered_from_checkpoint += 1;
-                cells.push(cell);
-                continue;
-            }
+        if let Some(cell) = load_final_checkpoint::<FaultCell>(&cells_dir, &desc.key) {
+            queue.publish_result(&desc.key, &cell);
+            report.cells_recovered_from_checkpoint += 1;
+            cells.push(cell);
+            continue;
         }
         // A failure marker means the retry budget was spent on this
         // cell; report it instead of burning the coordinator on it.
-        if let Some(kind) = read_failure_kind(runner.failed_path(&desc.key).as_deref()) {
+        if let Some(kind) = failure_kind(&cells_dir, &desc.key) {
             report.failed_cells.push(FailedCell {
                 key: desc.key.clone(),
                 kind,
@@ -393,7 +395,7 @@ fn merge(
     }
     let failed_keys: Vec<String> = report.failed_cells.iter().map(|f| f.key.clone()).collect();
     let gc = if failed_keys.is_empty() {
-        gc_dir(&queue.cells_dir())
+        gc_dir(&cells_dir)
     } else {
         GcReport::default()
     };
@@ -401,32 +403,4 @@ fn merge(
         table_from_cells(manifest.seed, &manifest.grid, cells, failed_keys),
         gc,
     ))
-}
-
-fn read_checkpoint_cell(path: &Path) -> Option<FaultCell> {
-    let text = std::fs::read_to_string(path).ok()?;
-    match serde_json::from_str(&text) {
-        Ok(cell) => Some(cell),
-        Err(e) => {
-            eprintln!(
-                "warning: discarding unusable checkpoint {}: {e}",
-                path.display()
-            );
-            note_degraded();
-            let _ = std::fs::remove_file(path);
-            None
-        }
-    }
-}
-
-fn read_failure_kind(path: Option<&Path>) -> Option<String> {
-    let path = path?;
-    if !path.exists() {
-        return None;
-    }
-    let kind = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| serde_json::from_str::<crate::runner::RunError>(&t).ok())
-        .map_or_else(|| "unknown".to_owned(), |e| e.kind().to_owned());
-    Some(kind)
 }

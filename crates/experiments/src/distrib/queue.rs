@@ -51,6 +51,7 @@ use crate::common::Scale;
 use crate::faults::{cell_key, FaultCell, Grid};
 use crate::runner::note_degraded;
 use crate::snapfile;
+use perconf_bpred::atomic_write;
 use perconf_obs::CounterSnapshot;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -162,19 +163,6 @@ fn touch(path: &Path) -> io::Result<()> {
         .set_modified(SystemTime::now())
 }
 
-/// Writes `text` to `path` atomically via a pid-unique sibling temp
-/// file, so concurrent writers can never leave a torn file under the
-/// final name.
-fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    let mut tmp_name = path
-        .file_name()
-        .map_or_else(|| "out".into(), std::ffi::OsStr::to_os_string);
-    tmp_name.push(format!(".tmp{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Maps a worker id to the restricted alphabet lease filenames parse
 /// (`@` is the field separator, so it must never appear in an id).
 fn sanitize_worker(id: &str) -> String {
@@ -215,7 +203,7 @@ impl Queue {
         }
         let text = serde_json::to_string_pretty(manifest)
             .map_err(|e| format!("cannot serialize manifest: {e}"))?;
-        write_atomic(&q.manifest_path(), &text)
+        atomic_write(&q.manifest_path(), &[text.as_bytes()], true)
             .map_err(|e| format!("cannot write {}: {e}", q.manifest_path().display()))?;
         Ok(q)
     }
@@ -335,7 +323,8 @@ impl Queue {
             }
             let text = serde_json::to_string_pretty(&desc)
                 .map_err(|e| format!("cannot serialize cell {}: {e}", desc.key))?;
-            write_atomic(&todo, &text).map_err(|e| format!("cannot enqueue {}: {e}", desc.key))?;
+            atomic_write(&todo, &[text.as_bytes()], true)
+                .map_err(|e| format!("cannot enqueue {}: {e}", desc.key))?;
             added += 1;
         }
         Ok(added)
@@ -379,7 +368,7 @@ impl Queue {
                             // Repair the lease content so a later
                             // reap/claim cycle sees clean JSON.
                             if let Ok(text) = serde_json::to_string_pretty(&d) {
-                                let _ = write_atomic(&dst, &text);
+                                let _ = atomic_write(&dst, &[text.as_bytes()], true);
                             }
                             d
                         }
@@ -526,7 +515,7 @@ impl Queue {
             .join(format!("{}.json", sanitize_worker(worker)));
         match serde_json::to_string_pretty(snapshot) {
             Ok(text) => {
-                if let Err(e) = write_atomic(&path, &text) {
+                if let Err(e) = atomic_write(&path, &[text.as_bytes()], true) {
                     eprintln!("warning: cannot write worker stats {}: {e}", path.display());
                 }
             }

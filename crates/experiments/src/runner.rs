@@ -442,7 +442,8 @@ where
     for i in 0..n {
         let key = &spec.keys[i];
         if cfg.resume {
-            if let Some(v) = load_final_checkpoint(cfg, key) {
+            let dir = cfg.checkpoint_dir.as_deref();
+            if let Some(v) = dir.and_then(|d| load_final_checkpoint(d, key)) {
                 // The final result exists; any leftover partial state
                 // is stale.
                 cells[i].clear();
@@ -637,26 +638,36 @@ where
     })
 }
 
+// The checkpoint-directory layout: per cell key, `<key>.json` holds
+// the final result, `<key>.failed.json` the failure marker and
+// `<key>.part.psnap` the mid-cell partial.
+const FINAL: &str = ".json";
+const FAILED: &str = ".failed.json";
+const PARTIAL: &str = ".part.psnap";
+
+fn cell_file(dir: &Path, key: &str, suffix: &str) -> PathBuf {
+    dir.join(format!("{}{suffix}", sanitize(key)))
+}
+
 fn checkpoint_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
-    cfg.checkpoint_dir
-        .as_ref()
-        .map(|d| d.join(format!("{}.json", sanitize(key))))
+    Some(cell_file(cfg.checkpoint_dir.as_deref()?, key, FINAL))
 }
 
 fn failed_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
-    cfg.checkpoint_dir
-        .as_ref()
-        .map(|d| d.join(format!("{}.failed.json", sanitize(key))))
+    Some(cell_file(cfg.checkpoint_dir.as_deref()?, key, FAILED))
 }
 
 fn partial_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
-    cfg.checkpoint_dir
-        .as_ref()
-        .map(|d| d.join(format!("{}.part.psnap", sanitize(key))))
+    Some(cell_file(cfg.checkpoint_dir.as_deref()?, key, PARTIAL))
 }
 
-fn load_final_checkpoint<T: DeserializeOwned>(cfg: &RunnerConfig, key: &str) -> Option<T> {
-    let path = checkpoint_file(cfg, key)?;
+/// Loads the final result a checkpoint directory holds for `key`
+/// (`<dir>/<key>.json`). `None` when there is none; a corrupt file is
+/// discarded (warned, counted as degraded, deleted) so the cell
+/// recomputes.
+#[must_use]
+pub fn load_final_checkpoint<T: DeserializeOwned>(dir: &Path, key: &str) -> Option<T> {
+    let path = cell_file(dir, key, FINAL);
     let text = std::fs::read_to_string(&path).ok()?;
     match serde_json::from_str(&text) {
         Ok(v) => Some(v),
@@ -673,6 +684,22 @@ fn load_final_checkpoint<T: DeserializeOwned>(cfg: &RunnerConfig, key: &str) -> 
     }
 }
 
+/// The error class (`RunError::kind`) of the failure marker a
+/// checkpoint directory holds for `key` (`<dir>/<key>.failed.json`):
+/// `None` without a marker, `"unknown"` for an unreadable one.
+#[must_use]
+pub fn failure_kind(dir: &Path, key: &str) -> Option<String> {
+    let path = cell_file(dir, key, FAILED);
+    if !path.exists() {
+        return None;
+    }
+    let kind = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|t| serde_json::from_str::<RunError>(&t).ok())
+        .map_or_else(|| "unknown".to_owned(), |e| e.kind().to_owned());
+    Some(kind)
+}
+
 fn write_final_checkpoint<T: Serialize>(
     cfg: &RunnerConfig,
     key: &str,
@@ -681,18 +708,12 @@ fn write_final_checkpoint<T: Serialize>(
     let Some(path) = checkpoint_file(cfg, key) else {
         return Ok(());
     };
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
     let text = serde_json::to_string_pretty(value).map_err(|e| RunError::Io {
         message: format!("cannot serialize checkpoint: {e}"),
     })?;
-    // Atomic (pid-unique temp + rename): in a distributed sweep two
-    // worker processes may finish the same cell, and the loser must
-    // replace the winner's byte-identical file whole, never tear it.
-    let tmp = path.with_extension(format!("json.tmp{}", std::process::id()));
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, &path)?;
+    // In a distributed sweep two worker processes may finish the same
+    // cell; the loser replaces the winner's byte-identical file whole.
+    perconf_bpred::atomic_write(&path, &[text.as_bytes()], true)?;
     Ok(())
 }
 
@@ -736,8 +757,8 @@ pub fn gc_dir(dir: &Path) -> GcReport {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if let Some(stem) = name.strip_suffix(".part.psnap") {
-            if dir.join(format!("{stem}.json")).is_file() && std::fs::remove_file(&path).is_ok() {
+        if let Some(stem) = name.strip_suffix(PARTIAL) {
+            if dir.join(format!("{stem}{FINAL}")).is_file() && std::fs::remove_file(&path).is_ok() {
                 report.partials_removed += 1;
             }
         } else if name.contains(".tmp") && std::fs::remove_file(&path).is_ok() {
@@ -751,11 +772,8 @@ fn write_failure_marker(cfg: &RunnerConfig, key: &str, err: &RunError) {
     let Some(path) = failed_file(cfg, key) else {
         return;
     };
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
     if let Ok(text) = serde_json::to_string_pretty(err) {
-        if let Err(e) = std::fs::write(&path, text) {
+        if let Err(e) = perconf_bpred::atomic_write(&path, &[text.as_bytes()], true) {
             eprintln!("warning: cannot write failure marker for {key}: {e}");
         }
     }
@@ -1224,7 +1242,8 @@ fn sanitize(key: &str) -> String {
 
 /// Renders a panic payload (the `&str`/`String` cases panics actually
 /// carry) into text.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

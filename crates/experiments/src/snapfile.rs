@@ -1,190 +1,51 @@
-//! Versioned, checksummed on-disk container for simulator snapshots.
+//! On-disk snapshot files: one serialized [`Value`] tree (as produced
+//! by [`perconf_bpred::Snapshot::save_state`]), rendered as JSON, in a
+//! `PSNAP001` [`perconf_bpred::frame`] — the workspace's one
+//! checksummed container, whose header carries the magic, the format
+//! version, an FNV-1a 64 payload digest and the payload length.
 //!
-//! A snapshot file wraps one serialized [`Value`] tree (as produced by
-//! [`perconf_bpred::Snapshot::save_state`]) in a small binary header
-//! so a half-written or bit-rotted checkpoint is *detected* rather
-//! than silently deserialized into nonsense:
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"PSNAP001"
-//! 8       4     format version, u32 LE (currently 1)
-//! 12      8     FNV-1a 64 digest of the payload bytes, u64 LE
-//! 20      8     payload length in bytes, u64 LE
-//! 28      n     payload: the snapshot Value rendered as JSON
-//! ```
-//!
-//! Writes are atomic (temp file + rename in the destination
-//! directory), so a crash mid-write leaves either the previous
-//! checkpoint or none — never a truncated one under the final name.
-//! Readers distinguish every failure mode ([`SnapfileError`]) so
-//! callers can log *why* a checkpoint was discarded and fall back to
-//! a from-scratch rerun.
+//! Writes are atomic and durable (temp file, fsync, rename), so a
+//! crash mid-write leaves either the previous checkpoint or none —
+//! never a truncated one under the final name. Readers distinguish
+//! every failure mode ([`SnapfileError`]) so callers can log *why* a
+//! checkpoint was discarded and fall back to a from-scratch rerun.
 
+use perconf_bpred::frame;
 use serde::Value;
-use std::fmt;
-use std::io::{self, Read, Write};
 use std::path::Path;
+
+/// The frame's error enum, under the name snapshot callers know.
+pub use perconf_bpred::frame::FrameError as SnapfileError;
 
 /// Leading magic of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PSNAP001";
 
-/// Current format version. Bumped when the header or payload encoding
-/// changes incompatibly; readers reject versions they don't know.
+/// Current format version. Bumped when the payload encoding changes
+/// incompatibly; readers reject versions they don't know.
 pub const VERSION: u32 = 1;
 
-/// Why a snapshot file could not be read back.
-#[derive(Debug)]
-pub enum SnapfileError {
-    /// The underlying read or write failed.
-    Io(io::Error),
-    /// The file does not start with [`MAGIC`] — not a snapshot file.
-    BadMagic {
-        /// The eight bytes actually found.
-        found: [u8; 8],
-    },
-    /// The header names a format version this reader doesn't support.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u32,
-    },
-    /// The file ends before the header-declared payload length.
-    Truncated {
-        /// Bytes the header promised.
-        expected: u64,
-        /// Bytes actually present.
-        got: u64,
-    },
-    /// The payload digest does not match the header — bit rot or a
-    /// torn write.
-    DigestMismatch {
-        /// Digest recorded in the header.
-        stored: u64,
-        /// Digest of the payload as read.
-        computed: u64,
-    },
-    /// The payload is not valid snapshot JSON.
-    Malformed(String),
-}
-
-impl fmt::Display for SnapfileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapfileError::Io(e) => write!(f, "i/o error: {e}"),
-            SnapfileError::BadMagic { found } => {
-                write!(f, "not a snapshot file (magic {found:02x?})")
-            }
-            SnapfileError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported snapshot version {found} (reader knows {VERSION})"
-                )
-            }
-            SnapfileError::Truncated { expected, got } => {
-                write!(
-                    f,
-                    "truncated snapshot: header promises {expected} payload bytes, file has {got}"
-                )
-            }
-            SnapfileError::DigestMismatch { stored, computed } => {
-                write!(f, "snapshot payload digest mismatch: header {stored:#018x}, computed {computed:#018x}")
-            }
-            SnapfileError::Malformed(m) => write!(f, "malformed snapshot payload: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapfileError {}
-
-impl From<io::Error> for SnapfileError {
-    fn from(e: io::Error) -> Self {
-        SnapfileError::Io(e)
-    }
-}
-
-/// FNV-1a 64 over a byte slice — [`perconf_bpred::digest_bytes`], the
-/// same hash every state digest uses, applied here to the serialized
-/// payload.
-#[must_use]
-pub fn payload_digest(bytes: &[u8]) -> u64 {
-    perconf_bpred::digest_bytes(bytes)
-}
-
-/// Writes `state` to `path` atomically: serialize, digest, write to a
-/// sibling temp file, fsync, rename over the destination.
+/// Writes `state` to `path` atomically: serialize, then frame, fsync
+/// and rename over the destination.
 ///
 /// # Errors
 ///
 /// Returns [`SnapfileError::Io`] on any filesystem failure and
 /// [`SnapfileError::Malformed`] if the value cannot be serialized.
 pub fn write(path: &Path, state: &Value) -> Result<(), SnapfileError> {
-    let payload = serde_json::to_string(state)
-        .map_err(|e| SnapfileError::Malformed(e.to_string()))?
-        .into_bytes();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    // Pid-unique temp name: two processes racing to checkpoint the
-    // same cell (e.g. a reaped worker's successor) must not tear each
-    // other's in-flight writes; the final rename is last-writer-wins
-    // over byte-identical content.
-    let tmp = path.with_extension(format!("psnap.tmp{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&MAGIC)?;
-        f.write_all(&VERSION.to_le_bytes())?;
-        f.write_all(&payload_digest(&payload).to_le_bytes())?;
-        f.write_all(&(payload.len() as u64).to_le_bytes())?;
-        f.write_all(&payload)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    let payload =
+        serde_json::to_string(state).map_err(|e| SnapfileError::Malformed(e.to_string()))?;
+    Ok(frame::write(path, MAGIC, VERSION, payload.as_bytes())?)
 }
 
-/// Reads a snapshot back, verifying magic, version, length and digest
-/// before parsing the payload.
+/// Reads a snapshot back, verifying the frame before parsing the
+/// payload.
 ///
 /// # Errors
 ///
 /// Any [`SnapfileError`] variant; all of them mean "this checkpoint is
 /// unusable, rerun from scratch" to a resuming caller.
 pub fn read(path: &Path) -> Result<Value, SnapfileError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut header = [0u8; 28];
-    f.read_exact(&mut header).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            SnapfileError::Truncated {
-                expected: 28,
-                got: std::fs::metadata(path).map(|m| m.len()).unwrap_or(0),
-            }
-        } else {
-            SnapfileError::Io(e)
-        }
-    })?;
-    let mut magic = [0u8; 8];
-    magic.copy_from_slice(&header[..8]);
-    if magic != MAGIC {
-        return Err(SnapfileError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(SnapfileError::UnsupportedVersion { found: version });
-    }
-    let stored = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(header[20..28].try_into().expect("8 bytes"));
-    let mut payload = Vec::new();
-    f.read_to_end(&mut payload)?;
-    if (payload.len() as u64) != len {
-        return Err(SnapfileError::Truncated {
-            expected: len,
-            got: payload.len() as u64,
-        });
-    }
-    let computed = payload_digest(&payload);
-    if computed != stored {
-        return Err(SnapfileError::DigestMismatch { stored, computed });
-    }
+    let payload = frame::read(path, MAGIC, VERSION)?;
     let text = String::from_utf8(payload).map_err(|e| SnapfileError::Malformed(e.to_string()))?;
     serde_json::from_str(&text).map_err(|e| SnapfileError::Malformed(e.to_string()))
 }
@@ -192,103 +53,26 @@ pub fn read(path: &Path) -> Result<Value, SnapfileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "perconf-snapfile-{name}-{}.psnap",
-            std::process::id()
-        ))
-    }
-
-    fn sample() -> Value {
-        Value::Object(vec![
+    #[test]
+    fn round_trips_a_value_in_pinned_bytes() {
+        let p = std::env::temp_dir().join(format!("perconf-snapfile-{}.psnap", std::process::id()));
+        let sample = Value::Object(vec![
             // `Int`, not `UInt`: JSON re-parses in-range non-negative
-            // integers as `Int`, and the round-trip test compares
-            // variants exactly.
+            // integers as `Int`, and the comparison is exact.
             ("now".into(), Value::Int(12345)),
             (
                 "weights".into(),
                 Value::Array(vec![Value::Int(-3), Value::Int(7)]),
             ),
-        ])
-    }
-
-    #[test]
-    fn round_trips_a_value() {
-        let p = tmp("roundtrip");
-        write(&p, &sample()).unwrap();
-        let back = read(&p).unwrap();
-        assert_eq!(back, sample());
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn rejects_wrong_magic() {
-        let p = tmp("magic");
-        write(&p, &sample()).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[0] ^= 0xFF;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(matches!(read(&p), Err(SnapfileError::BadMagic { .. })));
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn rejects_unknown_version() {
-        let p = tmp("version");
-        write(&p, &sample()).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[8] = 0xEE;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(matches!(
-            read(&p),
-            Err(SnapfileError::UnsupportedVersion { .. })
-        ));
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn detects_a_single_flipped_payload_bit() {
-        let p = tmp("bitrot");
-        write(&p, &sample()).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&p, &bytes).unwrap();
-        match read(&p) {
-            Err(SnapfileError::DigestMismatch { stored, computed }) => {
-                assert_ne!(stored, computed);
-            }
-            other => panic!("expected DigestMismatch, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn detects_truncation() {
-        let p = tmp("truncated");
-        write(&p, &sample()).unwrap();
+        ]);
+        write(&p, &sample).unwrap();
+        let payload = br#"{"now":12345,"weights":[-3,7]}"#;
         let bytes = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(matches!(read(&p), Err(SnapfileError::Truncated { .. })));
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn missing_file_reports_io() {
-        let p = tmp("nonexistent-never-written");
-        let _ = std::fs::remove_file(&p);
-        assert!(matches!(read(&p), Err(SnapfileError::Io(_))));
-    }
-
-    #[test]
-    fn no_temp_file_survives_a_write() {
-        let p = tmp("atomic");
-        write(&p, &sample()).unwrap();
-        assert!(!p
-            .with_extension(format!("psnap.tmp{}", std::process::id()))
-            .exists());
+        assert_eq!(&bytes[..12], b"PSNAP001\x01\x00\x00\x00");
+        assert_eq!(&bytes[20..28], &(payload.len() as u64).to_le_bytes());
+        assert_eq!(&bytes[28..], payload);
+        assert_eq!(read(&p).unwrap(), sample);
         let _ = std::fs::remove_file(&p);
     }
 }

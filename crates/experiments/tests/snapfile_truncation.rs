@@ -13,6 +13,12 @@ use perconf_experiments::runner::{degraded_count, Runner, RunnerConfig};
 use perconf_experiments::snapfile::{self, SnapfileError};
 use serde::Value;
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// The degraded-input count is process-wide: the two tests that
+/// assert on it hold this lock so one's discarded checkpoint never
+/// lands inside the other's before/after window.
+static DEGRADED_COUNTER: Mutex<()> = Mutex::new(());
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("perconf-trunc-{tag}-{}", std::process::id()));
@@ -23,6 +29,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn kill_between_temp_write_and_rename_recomputes_cleanly() {
+    let _counter = DEGRADED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = fresh_dir("tmp-orphan");
     let cfg = RunnerConfig::resuming(&dir);
     let mut runner = Runner::new(cfg);
@@ -64,6 +71,7 @@ fn kill_between_temp_write_and_rename_recomputes_cleanly() {
 
 #[test]
 fn torn_final_name_is_reported_as_truncation_not_corruption() {
+    let _counter = DEGRADED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = fresh_dir("torn-final");
     let cfg = RunnerConfig::resuming(&dir);
     let mut runner = Runner::new(cfg);

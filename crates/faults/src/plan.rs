@@ -1,4 +1,4 @@
-use perconf_bpred::{Snapshot, SnapshotError, StateDigest};
+use perconf_bpred::{Snapshot, SnapshotError};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
 
@@ -169,18 +169,6 @@ impl Snapshot for FaultPlan {
         self.injected = f(state, "injected")?;
         self.rng = SmallRng::from_state(rng_state);
         Ok(())
-    }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        for w in self.rng.state() {
-            d.word(w);
-        }
-        d.float(self.rate)
-            .float(self.history_rate)
-            .word(self.accesses)
-            .word(self.injected);
-        d.finish()
     }
 }
 

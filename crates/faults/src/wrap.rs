@@ -1,6 +1,6 @@
 use std::cell::RefCell;
 
-use perconf_bpred::{BranchPredictor, FaultableState, Snapshot, SnapshotError, StateDigest};
+use perconf_bpred::{BranchPredictor, FaultableState, Snapshot, SnapshotError};
 use perconf_core::{ConfidenceEstimator, Estimate, EstimateCtx};
 use serde::Value;
 
@@ -124,13 +124,6 @@ impl<P: Snapshot> Snapshot for FaultyPredictor<P> {
             .restore_state(component(state, "inner")?)?;
         self.plan.get_mut().restore_state(component(state, "plan")?)
     }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(self.inner.borrow().state_digest())
-            .word(self.plan.borrow().state_digest());
-        d.finish()
-    }
 }
 
 /// A [`ConfidenceEstimator`] adapter mirroring [`FaultyPredictor`]:
@@ -225,13 +218,6 @@ impl<E: Snapshot> Snapshot for FaultyEstimator<E> {
             .get_mut()
             .restore_state(component(state, "inner")?)?;
         self.plan.get_mut().restore_state(component(state, "plan")?)
-    }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(self.inner.borrow().state_digest())
-            .word(self.plan.borrow().state_digest());
-        d.finish()
     }
 }
 

@@ -11,15 +11,6 @@ pub struct Widget {
 
 impl Snapshot for Widget {
     crate::snapshot_serde_body!();
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.signed(i64::from(self.theta));
-        for &w in &self.weights {
-            d.signed(i64::from(w));
-        }
-        d.finish()
-    }
 }
 
 pub struct Pair<A, B> {
@@ -53,11 +44,5 @@ impl<A: Snapshot, B: Snapshot> Snapshot for Pair<A, B> {
     fn restore_state(&mut self, state: &Value) -> Result<(), SnapshotError> {
         *self = Self::from_value(state)?;
         Ok(())
-    }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.word(self.a.state_digest()).word(self.b.state_digest());
-        d.finish()
     }
 }

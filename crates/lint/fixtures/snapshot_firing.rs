@@ -1,6 +1,5 @@
-//! Fixture: `snapshot-completeness` must fire — `theta` is saved and
-//! restored by the serde macro but never folded into the digest, and
-//! `scratch` is covered nowhere.
+//! Fixture: `snapshot-completeness` must fire — `theta` is saved but
+//! never restored, and `scratch` is covered nowhere.
 #![forbid(unsafe_code)]
 
 pub struct Widget {
@@ -10,13 +9,15 @@ pub struct Widget {
 }
 
 impl Snapshot for Widget {
-    crate::snapshot_serde_body!();
+    fn save_state(&self) -> Value {
+        Value::Object(vec![
+            ("weights".into(), self.weights.to_value()),
+            ("theta".into(), self.theta.to_value()),
+        ])
+    }
 
-    fn state_digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        for &w in &self.weights {
-            d.signed(i64::from(w));
-        }
-        d.finish()
+    fn restore_state(&mut self, state: &Value) -> Result<(), SnapshotError> {
+        self.weights = serde::field(state, "weights").map_err(SnapshotError::from_de)?;
+        Ok(())
     }
 }

@@ -126,11 +126,9 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        // Staged + renamed so a crash never leaves a torn report —
-        // the same discipline the output-atomicity rule enforces.
-        let tmp = json.with_extension("json.tmp");
-        let staged = std::fs::write(&tmp, body + "\n").and_then(|()| std::fs::rename(&tmp, json));
-        if let Err(e) = staged {
+        // Atomic, so a crash never leaves a torn report — the
+        // discipline the output-atomicity rule enforces.
+        if let Err(e) = perconf_bpred::atomic_write(json, &[body.as_bytes(), b"\n"], true) {
             eprintln!("perconf-lint: cannot write {}: {e}", json.display());
             return ExitCode::from(2);
         }

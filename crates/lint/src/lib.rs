@@ -9,17 +9,19 @@
 //! lane can flake:
 //!
 //! - **snapshot-completeness** — a field added to a `Snapshot` type
-//!   but forgotten in `save_state`/`restore_state`/`state_digest`
-//!   silently corrupts resume and divergence probes.
+//!   but forgotten in `save_state`/`restore_state` silently corrupts
+//!   resume and divergence probes (`state_digest` is derived from
+//!   `save_state`, so it cannot drift).
 //! - **nondeterminism-sources** — `HashMap` iteration order,
 //!   `Instant::now`, `thread_rng`, or pointer-value hashing creeping
 //!   into a result-producing path.
 //! - **unsafe-hygiene** — `#![forbid(unsafe_code)]` in every
 //!   workspace crate root; `// SAFETY:` above any `unsafe` in
 //!   vendored code.
-//! - **output-atomicity** — artifact writes must stage to a temp
-//!   sibling and rename (torn files must read as *recompute*, never
-//!   as wrong data).
+//! - **output-atomicity** — no `File::create` or `fs::write` outside
+//!   `perconf_bpred::atomic_write`, the one writer that stages to a
+//!   temp sibling and renames (torn files must read as *recompute*,
+//!   never as wrong data).
 //!
 //! The analyzer is a self-contained lightweight Rust lexer
 //! ([`lexer`]) — comment/string/raw-string aware, no external parser

@@ -1,12 +1,14 @@
 //! Structural recovery over the token stream: struct definitions
-//! (named fields with lines and attributes) and `impl Snapshot for T`
-//! blocks (per-method identifier coverage). Everything here is
-//! brace/bracket/angle matching over [`crate::lexer`] tokens — enough
-//! structure for the snapshot-completeness rule without a real
-//! parser.
+//! (named fields with lines and attributes), `impl Snapshot for T`
+//! blocks (per-method identifier coverage), and the token ranges the
+//! output-atomicity rule exempts (`fn` bodies, `#[cfg(test)]`
+//! modules). Everything here is brace/bracket/angle matching over
+//! [`crate::lexer`] tokens — enough structure for the rules without a
+//! real parser.
 
 use crate::lexer::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// One named field of a struct definition.
 #[derive(Debug, Clone)]
@@ -59,8 +61,6 @@ pub struct SnapshotImpl {
     pub save_idents: Option<BTreeSet<String>>,
     /// Identifiers appearing in the `restore_state` body, if present.
     pub restore_idents: Option<BTreeSet<String>>,
-    /// Identifiers appearing in the `state_digest` body, if present.
-    pub digest_idents: Option<BTreeSet<String>>,
     /// Whether the body invokes `snapshot_serde_body!` (which covers
     /// `save_state`/`restore_state` for every non-`serde(skip)`
     /// field by serializing the whole struct).
@@ -361,7 +361,6 @@ pub fn snapshot_impls(toks: &[Tok]) -> Vec<SnapshotImpl> {
                 line: b.line,
                 save_idents: method_idents(body, "save_state"),
                 restore_idents: method_idents(body, "restore_state"),
-                digest_idents: method_idents(body, "state_digest"),
                 serde_macro: body.iter().any(|t| t.is_ident("snapshot_serde_body")),
             }
         })
@@ -405,32 +404,67 @@ pub fn serde_coverage(toks: &[Tok]) -> BTreeMap<String, SerdeCoverage> {
     out
 }
 
-/// The identifier set of the body of `fn <name>` inside an impl body,
-/// or `None` if the method is absent.
-fn method_idents(body: &[Tok], name: &str) -> Option<BTreeSet<String>> {
+/// Token ranges of the bodies of every `fn <name>` in `toks`.
+#[must_use]
+pub fn fn_bodies(toks: &[Tok], name: &str) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
     let mut i = 0;
-    while i + 1 < body.len() {
-        if body[i].is_ident("fn") && body[i + 1].is_ident(name) {
+    while i + 1 < toks.len() {
+        if toks[i].is_ident("fn") && toks[i + 1].is_ident(name) {
             // Find the first `{` after the signature; nothing in a
             // signature contains braces.
             let mut j = i + 2;
-            while j < body.len() && !body[j].is_punct('{') {
+            while j < toks.len() && !toks[j].is_punct('{') {
                 j += 1;
             }
-            if j >= body.len() {
-                return None;
+            if j >= toks.len() {
+                break;
             }
-            let end = skip_balanced(body, j, '{', '}');
-            let idents = body[j + 1..end.saturating_sub(1)]
-                .iter()
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone())
-                .collect();
-            return Some(idents);
+            let end = skip_balanced(toks, j, '{', '}');
+            out.push(j + 1..end.saturating_sub(1));
+            i = end;
+        } else {
+            i += 1;
         }
-        i += 1;
     }
-    None
+    out
+}
+
+/// Token ranges of the bodies of inline `#[cfg(test)] mod m { ... }`
+/// modules — test code, out of scope like `tests/` directories.
+#[must_use]
+pub fn cfg_test_modules(toks: &[Tok]) -> Vec<Range<usize>> {
+    const ATTR: [&str; 8] = ["#", "[", "cfg", "(", "test", ")", "]", "mod"];
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let open = i + ATTR.len() + 1;
+        let matches = ATTR
+            .iter()
+            .enumerate()
+            .all(|(k, want)| toks.get(i + k).is_some_and(|t| t.text == *want));
+        if matches && toks.get(open).is_some_and(|t| t.is_punct('{')) {
+            let end = skip_balanced(toks, open, '{', '}');
+            out.push(open + 1..end.saturating_sub(1));
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// The identifier set of the body of `fn <name>` inside an impl body,
+/// or `None` if the method is absent.
+fn method_idents(body: &[Tok], name: &str) -> Option<BTreeSet<String>> {
+    let range = fn_bodies(body, name).into_iter().next()?;
+    Some(
+        body[range]
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.clone())
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -478,15 +512,9 @@ mod tests {
                     self.alpha = read(v)?;
                     Ok(())
                 }
-                fn state_digest(&self) -> u64 {
-                    let mut d = StateDigest::new();
-                    d.word(self.alpha);
-                    d.finish()
-                }
             }
             impl other::Snapshot for Gadget {
                 crate::snapshot_serde_body!();
-                fn state_digest(&self) -> u64 { digest_value(&self.save_state()) }
             }
             impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
                 fn save_state(&self) -> Value { (**self).save_state() }
@@ -498,15 +526,36 @@ mod tests {
         assert_eq!(impls.len(), 3);
         assert_eq!(impls[0].target, "Widget");
         assert!(impls[0].save_idents.as_ref().unwrap().contains("alpha"));
-        assert!(impls[0].digest_idents.as_ref().unwrap().contains("alpha"));
+        assert!(impls[0].restore_idents.as_ref().unwrap().contains("alpha"));
         assert!(!impls[0].serde_macro);
         assert_eq!(impls[1].target, "Gadget");
         assert!(impls[1].serde_macro);
-        assert!(impls[1]
-            .digest_idents
-            .as_ref()
-            .unwrap()
-            .contains("save_state"));
         assert_eq!(impls[2].target, "Box");
+    }
+
+    #[test]
+    fn cfg_test_module_and_fn_body_ranges() {
+        let src = r#"
+            fn atomic_write() { create(); }
+            fn other() { write(); }
+            #[cfg(test)]
+            mod tests { fn t() { write(); } }
+            #[cfg(not(test))]
+            mod real { fn w() { write(); } }
+        "#;
+        let (toks, _) = lex(src);
+        let idents = |r: &Range<usize>| -> Vec<&str> {
+            toks[r.clone()]
+                .iter()
+                .filter(|t| t.kind == TokKind::Ident)
+                .map(|t| t.text.as_str())
+                .collect()
+        };
+        let bodies = fn_bodies(&toks, "atomic_write");
+        assert_eq!(bodies.len(), 1);
+        assert_eq!(idents(&bodies[0]), ["create"]);
+        let mods = cfg_test_modules(&toks);
+        assert_eq!(mods.len(), 1, "only the cfg(test) module counts");
+        assert_eq!(idents(&mods[0]), ["fn", "t", "write"]);
     }
 }

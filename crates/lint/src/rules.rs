@@ -11,8 +11,9 @@ use crate::source::{Scope, SourceFile};
 use std::collections::BTreeMap;
 
 /// Rule: every named field of a type implementing `Snapshot` must be
-/// referenced in `save_state`, `restore_state`, *and* `state_digest`,
-/// or carry a `// lint: transient` marker.
+/// referenced in both `save_state` and `restore_state`, or carry a
+/// `// lint: transient` marker. (`state_digest` is derived from
+/// `save_state`, so it needs no check of its own.)
 pub const SNAPSHOT_COMPLETENESS: &str = "snapshot-completeness";
 /// Rule: no wall-clock reads, ambient RNG, hasher-ordered
 /// collections, or pointer-value hashing in sim-path crates.
@@ -20,8 +21,9 @@ pub const NONDETERMINISM_SOURCES: &str = "nondeterminism-sources";
 /// Rule: `#![forbid(unsafe_code)]` in every workspace crate root;
 /// `// SAFETY:` above any `unsafe` in vendored code.
 pub const UNSAFE_HYGIENE: &str = "unsafe-hygiene";
-/// Rule: artifact writes (`.psnap`/`.pobs`/results) must stage to a
-/// temp sibling and rename, never `File::create` the final path.
+/// Rule: no `File::create` or `fs::write` outside
+/// `perconf_bpred::atomic_write` — every persisted file goes through
+/// the one atomic writer.
 pub const OUTPUT_ATOMICITY: &str = "output-atomicity";
 
 /// Every shipped rule, in reporting order.
@@ -166,39 +168,24 @@ pub fn snapshot_completeness(files: &[SourceFile], index: &Index, out: &mut Vec<
                         || (s.contains("from_value")
                             && delegated.is_some_and(|d| d.from_value_idents.contains(&field.name)))
                 });
-            // A digest that folds the full `save_state` tree covers
-            // exactly what save covers.
-            let in_digest = im
-                .digest_idents
-                .as_ref()
-                .is_some_and(|s| s.contains(&field.name) || (s.contains("save_state") && in_save));
-            let mut missing = Vec::new();
-            if !in_save {
-                missing.push("save_state");
-            }
-            if !in_restore {
-                missing.push("restore_state");
-            }
-            if !in_digest {
-                missing.push("state_digest");
-            }
-            if missing.is_empty() {
-                continue;
-            }
+            let missing = match (in_save, in_restore) {
+                (true, true) => continue,
+                (false, true) => "save_state",
+                (true, false) => "restore_state",
+                (false, false) => "save_state, restore_state",
+            };
             out.push(Finding {
                 rule: SNAPSHOT_COMPLETENESS,
                 file: struct_file.rel.clone(),
                 line: field.line,
                 col: field.col,
                 message: format!(
-                    "field `{}` of `{}` is not covered by Snapshot::{{{}}}",
-                    field.name,
-                    im.target,
-                    missing.join(", ")
+                    "field `{}` of `{}` is not covered by Snapshot::{{{missing}}}",
+                    field.name, im.target,
                 ),
-                help: "reference the field in save_state, restore_state and state_digest, \
-                       or mark it `// lint: transient` with a reason (derived state, config \
-                       constant, or observability)"
+                help: "reference the field in save_state and restore_state, or mark it \
+                       `// lint: transient` with a reason (derived state, config constant, \
+                       or observability)"
                     .to_owned(),
             });
         }
@@ -363,37 +350,16 @@ pub fn unsafe_hygiene(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Inspects the parenthesised argument list starting at token `open`
-/// (which must be `(`): naming a `tmp`/`temp` sibling is the
-/// sanctioned staging idiom (a rename follows).
-fn stages_to_temp(t: &[crate::lexer::Tok], open: usize) -> bool {
-    if !t.get(open).is_some_and(|a| a.is_punct('(')) {
-        return false;
-    }
-    let mut j = open + 1;
-    let mut depth = 1;
-    while j < t.len() && depth > 0 {
-        if t[j].is_punct('(') {
-            depth += 1;
-        } else if t[j].is_punct(')') {
-            depth -= 1;
-        } else if t[j].kind == TokKind::Ident {
-            let lower = t[j].text.to_lowercase();
-            if lower.contains("tmp") || lower.contains("temp") {
-                return true;
-            }
-        }
-        j += 1;
-    }
-    false
-}
-
-/// Runs `output-atomicity` over one file.
+/// Runs `output-atomicity` over one file. Inline `#[cfg(test)]`
+/// modules are out of scope (as `tests/` directories are), and so is
+/// the body of `atomic_write` itself.
 pub fn output_atomicity(f: &SourceFile, out: &mut Vec<Finding>) {
     if matches!(f.scope, Scope::Vendor { .. }) {
         return;
     }
     let t = &f.toks;
+    let mut exempt = crate::parse::cfg_test_modules(t);
+    exempt.extend(crate::parse::fn_bodies(t, "atomic_write"));
     for i in 0..t.len() {
         let path_call = |head: &str, method: &str| {
             t[i].is_ident(head)
@@ -401,24 +367,14 @@ pub fn output_atomicity(f: &SourceFile, out: &mut Vec<Finding>) {
                 && t.get(i + 2).is_some_and(|a| a.is_punct(':'))
                 && t.get(i + 3).is_some_and(|a| a.is_ident(method))
         };
-        // `fs::write` is only policed in binaries: bins write the
-        // user-visible artifacts the byte-identity contract covers,
-        // while library/test code writes plenty of harmless scratch
-        // files the staging idiom would just bloat.
-        let (message, fires) = if path_call("File", "create") {
-            (
-                "direct `File::create` bypasses the temp+rename write path",
-                true,
-            )
-        } else if path_call("fs", "write") && f.rel.contains("/src/bin/") {
-            (
-                "direct `fs::write` in a binary bypasses the temp+rename write path",
-                true,
-            )
+        let call = if path_call("File", "create") {
+            "File::create"
+        } else if path_call("fs", "write") {
+            "fs::write"
         } else {
-            ("", false)
+            continue;
         };
-        if !fires || stages_to_temp(t, i + 4) || f.allows(OUTPUT_ATOMICITY, t[i].line) {
+        if exempt.iter().any(|r| r.contains(&i)) || f.allows(OUTPUT_ATOMICITY, t[i].line) {
             continue;
         }
         out.push(Finding {
@@ -426,12 +382,12 @@ pub fn output_atomicity(f: &SourceFile, out: &mut Vec<Finding>) {
             file: f.rel.clone(),
             line: t[i].line,
             col: t[i].col,
-            message: message.to_owned(),
-            help: "artifacts (`.psnap`/`.pobs`/results) must be written through \
-                   `experiments::snapfile::write` / `obs::pobs::write`, or staged to a \
-                   `tmp` sibling and renamed; annotate \
-                   `// lint: allow(output-atomicity)` if the stream is self-checking \
-                   (checksummed records with truncation detection)"
+            message: format!("direct `{call}` bypasses `atomic_write`"),
+            help: "write files through `perconf_bpred::atomic_write` (or the `frame`, \
+                   `snapfile` and `pobs` writers built on it), which stages to a unique \
+                   temp sibling and renames; annotate `// lint: allow(output-atomicity)` \
+                   only if the stream is self-checking (checksummed records with \
+                   truncation detection)"
                 .to_owned(),
         });
     }

@@ -1,7 +1,7 @@
 //! Integration tests: the fixture corpus (each rule must demonstrably
 //! fire on its firing fixture and stay quiet on its clean twin), the
 //! workspace-clean invariant, and a mutation test proving that
-//! dropping a field reference from a real `state_digest` impl is
+//! dropping a field from a real hand-written `restore_state` is
 //! caught.
 
 use perconf_lint::rules;
@@ -40,12 +40,13 @@ fn snapshot_completeness_fires_on_fixture() {
         .iter()
         .filter(|f| f.rule == rules::SNAPSHOT_COMPLETENESS)
         .collect();
-    // `theta` escapes the digest; `scratch` escapes everything.
+    // `theta` escapes the restore; `scratch` escapes everything.
     assert_eq!(snap.len(), 2, "findings: {:?}", a.findings);
     assert!(snap[0].message.contains("`theta`"), "{}", snap[0].message);
-    assert!(snap[0].message.contains("state_digest"));
+    assert!(snap[0].message.contains("restore_state"));
     assert!(!snap[0].message.contains("save_state"));
     assert!(snap[1].message.contains("`scratch`"), "{}", snap[1].message);
+    assert!(snap[1].message.contains("save_state, restore_state"));
 }
 
 #[test]
@@ -111,6 +112,18 @@ fn output_atomicity_fires_on_fixture() {
 }
 
 #[test]
+fn output_atomicity_fires_on_hand_staged_temp_rename() {
+    let a = analyze_fixture("atomicity_staged.rs");
+    let atom: Vec<_> = a
+        .findings
+        .iter()
+        .filter(|f| f.rule == rules::OUTPUT_ATOMICITY)
+        .collect();
+    assert_eq!(atom.len(), 1, "findings: {:?}", a.findings);
+    assert!(atom[0].message.contains("File::create"));
+}
+
+#[test]
 fn output_atomicity_quiet_on_clean_fixture() {
     let a = analyze_fixture("atomicity_clean.rs");
     assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
@@ -129,22 +142,32 @@ fn output_atomicity_fires_on_raw_fs_write_in_a_bin() {
 }
 
 #[test]
-fn output_atomicity_quiet_on_staged_fs_write_in_a_bin() {
-    let a = analyze_fixture("src/bin/atomicity_bin_clean.rs");
-    assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+fn output_atomicity_fires_on_staged_fs_write_in_a_bin() {
+    // A hand-staged temp+rename is a second atomic writer: only
+    // `atomic_write` may stage and rename.
+    let a = analyze_fixture("src/bin/atomicity_bin_staged.rs");
+    let atom: Vec<_> = a
+        .findings
+        .iter()
+        .filter(|f| f.rule == rules::OUTPUT_ATOMICITY)
+        .collect();
+    assert_eq!(atom.len(), 1, "findings: {:?}", a.findings);
+    assert!(atom[0].message.contains("fs::write"), "{:?}", atom[0]);
 }
 
 #[test]
-fn output_atomicity_ignores_fs_write_outside_bins() {
-    // The firing fixture's body is a library-path file here: the raw
-    // `fs::write` pattern only counts under a `/src/bin/` path.
+fn output_atomicity_fires_on_fs_write_outside_bins() {
+    // The firing fixture's body at a library path: the rule covers
+    // library code as well as binaries.
     let text = std::fs::read_to_string(fixture("src/bin/atomicity_bin_firing.rs")).unwrap();
-    let dir = std::env::temp_dir().join("perconf-lint-nonbin-fixture");
+    let dir = std::env::temp_dir().join(format!("perconf-lint-lib-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("atomicity_lib_copy.rs");
     std::fs::write(&path, text).unwrap();
-    let a = analyze_paths(&[path], &Options::default()).unwrap();
-    assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+    let a = analyze_paths(std::slice::from_ref(&path), &Options::default()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
+    assert_eq!(a.findings[0].rule, rules::OUTPUT_ATOMICITY);
 }
 
 #[test]
@@ -195,40 +218,39 @@ fn fixtures_fire_every_shipped_rule() {
     assert_eq!(fired, all, "every shipped rule must have a firing fixture");
 }
 
-/// Mutation test: drop the `hist_len` fold from the real
-/// `PerceptronPredictor::state_digest` and the analyzer must catch
-/// the now-incomplete digest. This pins the property the whole rule
-/// exists for — a forgotten field in a hand-rolled digest cannot
-/// slip through.
+/// Mutation test: drop the `injected` line from the real hand-written
+/// `FaultPlan::restore_state` and the analyzer must catch the
+/// now-incomplete restore. This pins the property the rule exists
+/// for — a field forgotten on the restore path cannot slip through.
 #[test]
-fn mutated_digest_is_caught() {
-    let real = workspace_root().join("crates/bpred/src/perceptron.rs");
-    let src = std::fs::read_to_string(&real).expect("perceptron.rs should exist");
-    let digest_line = ".word(u64::from(self.hist_len))";
+fn mutated_restore_is_caught() {
+    let real = workspace_root().join("crates/faults/src/plan.rs");
+    let src = std::fs::read_to_string(&real).expect("plan.rs should exist");
+    let restore_line = "self.injected = f(state, \"injected\")?;";
     assert!(
-        src.contains(digest_line),
+        src.contains(restore_line),
         "mutation target moved; update this test"
     );
     let mutated: String = src
         .lines()
-        .filter(|l| !l.contains(digest_line))
+        .filter(|l| !l.contains(restore_line))
         .map(|l| format!("{l}\n"))
         .collect();
     let dir = std::env::temp_dir().join(format!("perconf-lint-mut-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("perceptron_mutated.rs");
+    let path = dir.join("plan_mutated.rs");
     std::fs::write(&path, mutated).unwrap();
     let a = analyze_paths(std::slice::from_ref(&path), &Options::default()).unwrap();
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
     let caught = a.findings.iter().any(|f| {
         f.rule == rules::SNAPSHOT_COMPLETENESS
-            && f.message.contains("`hist_len`")
-            && f.message.contains("state_digest")
+            && f.message.contains("`injected`")
+            && f.message.contains("restore_state")
     });
     assert!(
         caught,
-        "dropping hist_len from state_digest must be caught; findings: {:?}",
+        "dropping injected from restore_state must be caught; findings: {:?}",
         a.findings
     );
 

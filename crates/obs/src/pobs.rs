@@ -1,119 +1,35 @@
-//! The `.pobs` on-disk trace container.
-//!
-//! Follows the `snapfile` conventions from the experiments crate —
-//! magic + version + FNV-1a-64 payload digest + length header, atomic
-//! temp-file-and-rename writes — applied to a flat array of
-//! fixed-width binary event records instead of a JSON tree:
+//! The `.pobs` on-disk trace container: a flat array of fixed-width
+//! binary event records in a `POBS0001` [`perconf_bpred::frame`] — the
+//! workspace's one checksummed container (magic, format version,
+//! FNV-1a 64 payload digest, payload length), written atomically.
 //!
 //! ```text
-//! offset  size  field
-//! 0       8     magic  b"POBS0001"
-//! 8       4     format version, u32 LE (currently 1)
-//! 12      8     FNV-1a 64 digest of the payload bytes, u64 LE
-//! 20      8     payload length in bytes, u64 LE
-//! 28      8     event count, u64 LE
-//! 36      8     events dropped by ring overwrites, u64 LE
-//! 44      n     payload: count × 25-byte records (see `event`)
+//! payload offset  size  field
+//! 0               8     event count, u64 LE
+//! 8               8     events dropped by ring overwrites, u64 LE
+//! 16              n     count × 25-byte records (see `event`)
 //! ```
 //!
-//! A half-written or bit-rotted trace is *detected* ([`PobsError`]),
-//! never silently decoded into nonsense.
+//! Version 1 kept the two counts in the header; its files are
+//! rejected by version, never misread. A half-written or bit-rotted
+//! trace is *detected* ([`PobsError`]), never silently decoded into
+//! nonsense.
 
 use crate::event::{TraceEvent, RECORD_BYTES};
-use std::fmt;
-use std::io::{self, Read as _, Write as _};
+use perconf_bpred::frame;
 use std::path::Path;
+
+/// The frame's error enum, under the name trace callers know.
+pub use perconf_bpred::frame::FrameError as PobsError;
 
 /// Leading magic of every trace file.
 pub const MAGIC: [u8; 8] = *b"POBS0001";
 
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
-const HEADER_BYTES: usize = 44;
-
-/// Why a trace file could not be read or written.
-#[derive(Debug)]
-pub enum PobsError {
-    /// The underlying read or write failed.
-    Io(io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic {
-        /// The eight bytes actually found.
-        found: [u8; 8],
-    },
-    /// The header names an unsupported format version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u32,
-    },
-    /// The file ends before the header-declared payload length, or the
-    /// payload length disagrees with the event count.
-    Truncated {
-        /// Bytes the header promised.
-        expected: u64,
-        /// Bytes actually present.
-        got: u64,
-    },
-    /// The payload digest does not match the header.
-    DigestMismatch {
-        /// Digest recorded in the header.
-        stored: u64,
-        /// Digest of the payload as read.
-        computed: u64,
-    },
-    /// A record carries an unknown kind tag.
-    Malformed(String),
-}
-
-impl fmt::Display for PobsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PobsError::Io(e) => write!(f, "i/o error: {e}"),
-            PobsError::BadMagic { found } => {
-                write!(f, "not a trace file (magic {found:02x?})")
-            }
-            PobsError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported trace version {found} (reader knows {VERSION})"
-                )
-            }
-            PobsError::Truncated { expected, got } => {
-                write!(
-                    f,
-                    "truncated trace: header promises {expected} payload bytes, file has {got}"
-                )
-            }
-            PobsError::DigestMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "trace payload digest mismatch: header {stored:#018x}, computed {computed:#018x}"
-                )
-            }
-            PobsError::Malformed(m) => write!(f, "malformed trace payload: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for PobsError {}
-
-impl From<io::Error> for PobsError {
-    fn from(e: io::Error) -> Self {
-        PobsError::Io(e)
-    }
-}
-
-/// FNV-1a 64 over the payload bytes (same family as the simulator's
-/// state digests and the snapfile container).
-#[must_use]
-pub fn payload_digest(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// Bytes of the count words that open the payload.
+const COUNTS_BYTES: usize = 16;
 
 /// A decoded trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,93 +76,54 @@ impl TraceFile {
     }
 }
 
-/// Writes `events` to `path` atomically: encode, digest, write to a
-/// sibling temp file, fsync, rename over the destination.
+/// Writes `events` to `path` atomically: encode, frame, fsync,
+/// rename over the destination.
 ///
 /// # Errors
 ///
 /// Returns [`PobsError::Io`] on any filesystem failure.
 pub fn write(path: &Path, events: &[TraceEvent], dropped: u64) -> Result<(), PobsError> {
-    let mut payload = Vec::with_capacity(events.len() * RECORD_BYTES);
+    let mut payload = Vec::with_capacity(COUNTS_BYTES + events.len() * RECORD_BYTES);
+    payload.extend_from_slice(&(events.len() as u64).to_le_bytes());
+    payload.extend_from_slice(&dropped.to_le_bytes());
     for ev in events {
         payload.extend_from_slice(&ev.encode());
     }
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let tmp = path.with_extension("pobs.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&MAGIC)?;
-        f.write_all(&VERSION.to_le_bytes())?;
-        f.write_all(&payload_digest(&payload).to_le_bytes())?;
-        f.write_all(&(payload.len() as u64).to_le_bytes())?;
-        f.write_all(&(events.len() as u64).to_le_bytes())?;
-        f.write_all(&dropped.to_le_bytes())?;
-        f.write_all(&payload)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(frame::write(path, MAGIC, VERSION, &payload)?)
 }
 
-/// Reads a trace back, verifying magic, version, length, digest and
-/// record encoding.
+/// Reads a trace back, verifying the frame and the record encoding.
 ///
 /// # Errors
 ///
 /// Any [`PobsError`] variant; all of them mean the trace file is
 /// unusable.
 pub fn read(path: &Path) -> Result<TraceFile, PobsError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut header = [0u8; HEADER_BYTES];
-    f.read_exact(&mut header).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            PobsError::Truncated {
-                expected: HEADER_BYTES as u64,
-                got: std::fs::metadata(path).map(|m| m.len()).unwrap_or(0),
-            }
-        } else {
-            PobsError::Io(e)
-        }
-    })?;
-    let mut magic = [0u8; 8];
-    magic.copy_from_slice(&header[..8]);
-    if magic != MAGIC {
-        return Err(PobsError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(PobsError::UnsupportedVersion { found: version });
-    }
-    let stored = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(header[20..28].try_into().expect("8 bytes"));
-    let count = u64::from_le_bytes(header[28..36].try_into().expect("8 bytes"));
-    let dropped = u64::from_le_bytes(header[36..44].try_into().expect("8 bytes"));
-    if len != count * RECORD_BYTES as u64 {
+    let payload = frame::read(path, MAGIC, VERSION)?;
+    let word = |at: usize| {
+        payload
+            .get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    };
+    let (Some(count), Some(dropped)) = (word(0), word(8)) else {
+        return Err(PobsError::Malformed(
+            "payload shorter than its counts".to_owned(),
+        ));
+    };
+    let records = &payload[COUNTS_BYTES..];
+    if records.len() as u64 != count.saturating_mul(RECORD_BYTES as u64) {
         return Err(PobsError::Malformed(format!(
-            "payload length {len} disagrees with event count {count}"
+            "{} record bytes disagree with event count {count}",
+            records.len()
         )));
     }
-    let mut payload = Vec::new();
-    f.read_to_end(&mut payload)?;
-    if (payload.len() as u64) != len {
-        return Err(PobsError::Truncated {
-            expected: len,
-            got: payload.len() as u64,
-        });
-    }
-    let computed = payload_digest(&payload);
-    if computed != stored {
-        return Err(PobsError::DigestMismatch { stored, computed });
-    }
-    let mut events = Vec::with_capacity(count as usize);
-    for chunk in payload.chunks_exact(RECORD_BYTES) {
-        let rec: &[u8; RECORD_BYTES] = chunk.try_into().expect("exact chunk");
-        events.push(TraceEvent::decode(rec).map_err(|e| PobsError::Malformed(e.to_string()))?);
-    }
+    let events = records
+        .chunks_exact(RECORD_BYTES)
+        .map(|chunk| {
+            let rec: &[u8; RECORD_BYTES] = chunk.try_into().expect("exact chunk");
+            TraceEvent::decode(rec).map_err(|e| PobsError::Malformed(e.to_string()))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(TraceFile { events, dropped })
 }
 
@@ -287,7 +164,6 @@ mod tests {
         let back = read(&p).unwrap();
         assert_eq!(back.events, sample());
         assert_eq!(back.dropped, 3);
-        assert!(!p.with_extension("pobs.tmp").exists());
         let _ = std::fs::remove_file(&p);
     }
 
@@ -301,49 +177,33 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wrong_magic() {
-        let p = tmp("magic");
-        write(&p, &sample(), 0).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[0] ^= 0xFF;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(matches!(read(&p), Err(PobsError::BadMagic { .. })));
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn rejects_unknown_version() {
-        let p = tmp("version");
-        write(&p, &sample(), 0).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[8] = 0xEE;
+    fn version_1_trace_is_rejected_by_version() {
+        // Version 1 layout: the counts sat in a 44-byte header.
+        let records: Vec<u8> = sample().iter().flat_map(TraceEvent::encode).collect();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&perconf_bpred::digest_bytes(&records).to_le_bytes());
+        bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&records);
+        let p = tmp("v1");
         std::fs::write(&p, &bytes).unwrap();
         assert!(matches!(
             read(&p),
-            Err(PobsError::UnsupportedVersion { .. })
+            Err(PobsError::UnsupportedVersion { found: 1 })
         ));
         let _ = std::fs::remove_file(&p);
     }
 
     #[test]
-    fn detects_payload_bit_rot() {
-        let p = tmp("bitrot");
-        write(&p, &sample(), 0).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(matches!(read(&p), Err(PobsError::DigestMismatch { .. })));
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn detects_truncation() {
-        let p = tmp("truncated");
-        write(&p, &sample(), 0).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &bytes[..bytes.len() - 7]).unwrap();
-        assert!(matches!(read(&p), Err(PobsError::Truncated { .. })));
+    fn count_disagreeing_with_records_is_malformed() {
+        let p = tmp("count");
+        let mut payload = 5u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&sample()[0].encode());
+        frame::write(&p, MAGIC, VERSION, &payload).unwrap();
+        assert!(matches!(read(&p), Err(PobsError::Malformed(_))));
         let _ = std::fs::remove_file(&p);
     }
 

@@ -1,7 +1,7 @@
 use crate::cache::MemHierarchy;
 use crate::config::PipelineConfig;
 use crate::stats::SimStats;
-use perconf_bpred::{digest_value, BranchPredictor, SimPredictor, Snapshot, SnapshotError};
+use perconf_bpred::{BranchPredictor, SimPredictor, Snapshot, SnapshotError};
 use perconf_core::{
     AlwaysHigh, BranchDecision, ConfidenceEstimator, GateCounter, SimEstimator,
     SpeculationController,
@@ -1466,14 +1466,6 @@ impl Snapshot for Simulation {
         // After `now` is in place: ticket placement depends on it.
         self.rebuild_derived();
         Ok(())
-    }
-
-    fn state_digest(&self) -> u64 {
-        // Digest the full serialized machine: slower than the per-table
-        // digests of the predictors, but a simulation digest is only
-        // taken at checkpoint/verify intervals, and covering everything
-        // is what makes lockstep divergence detection airtight.
-        digest_value(&self.save_state())
     }
 }
 

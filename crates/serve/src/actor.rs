@@ -12,9 +12,7 @@
 use crate::api::ExperimentSpec;
 use crate::cache::CellCache;
 use perconf_experiments::faults::{self, FaultCell};
-use perconf_experiments::runner::{
-    CellSpec, RunError, Runner, RunnerConfig, Scheduler, SchedulerConfig,
-};
+use perconf_experiments::runner::{self, CellSpec, RunnerConfig, Scheduler, SchedulerConfig};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -99,16 +97,6 @@ fn runner_config(cfg: &ActorConfig) -> RunnerConfig {
     }
 }
 
-fn error_kind(e: &RunError) -> String {
-    match e {
-        RunError::Timeout { .. } => "timeout",
-        RunError::Panic { .. } => "panic",
-        RunError::Io { .. } => "io",
-        RunError::Invariant { .. } => "invariant",
-    }
-    .to_owned()
-}
-
 /// Runs one experiment to completion (panicking if a chaos kill is
 /// armed and fires — the supervisor treats that like any crash).
 ///
@@ -186,7 +174,7 @@ pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<Act
             }
             if let Err(e) = &cell_report.outcome {
                 failed.push(ids[*slot].key.clone());
-                failed_kinds.push(error_kind(e));
+                failed_kinds.push(e.kind().to_owned());
             }
         }
         store_results(&ids, &missing, report, cache, &mut cells);
@@ -224,8 +212,6 @@ pub fn assemble_partial(
 ) -> Result<ActorOutcome, String> {
     let (_, grid) = cfg.spec.resolve()?;
     let ids = enumerate_cells(&cfg.spec)?;
-    // A runner is the authority on checkpoint file naming.
-    let paths = Runner::new(runner_config(cfg));
     let mut cells: Vec<FaultCell> = Vec::new();
     let mut from_cache = 0u64;
     let mut resumed = 0u64;
@@ -241,11 +227,8 @@ pub fn assemble_partial(
             from_cache += 1;
             continue;
         }
-        let from_checkpoint = paths
-            .checkpoint_path(&id.key)
-            .and_then(|p| std::fs::read_to_string(p).ok())
-            .and_then(|text| serde_json::from_str::<FaultCell>(&text).ok());
-        if let Some(cell) = from_checkpoint {
+        if let Some(cell) = runner::load_final_checkpoint::<FaultCell>(&cfg.checkpoint_dir, &id.key)
+        {
             c.put(
                 id.digest,
                 &serde_json::to_value(&cell).unwrap_or(serde::Value::Null),

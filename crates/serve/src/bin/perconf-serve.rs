@@ -542,13 +542,10 @@ fn wait_and_fetch(conn: &mut Conn, id: &str, json_dir: Option<&Path>) -> u8 {
 
 /// Writes the result table exactly as `repro`'s `save_json` would:
 /// pretty JSON, no trailing newline — the byte-identity contract the
-/// chaos harness diffs against. Staged through a temp file and
-/// renamed, so a crash mid-write never leaves a torn `faults.json`.
+/// chaos harness diffs against. Atomic, so a crash mid-write never
+/// leaves a torn `faults.json`.
 fn write_table(dir: &Path, table: &serde::Value) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
     let body = serde_json::to_string_pretty(table)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = dir.join("faults.json.tmp");
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, dir.join("faults.json"))
+    perconf_bpred::atomic_write(&dir.join("faults.json"), &[body.as_bytes()], true)
 }

@@ -38,8 +38,8 @@
 //! Determinism stance: this crate is part of the result-producing
 //! path, so it carries the same hygiene contract as the rest of the
 //! workspace — no `unsafe` anywhere (the SIGTERM plumbing lives in
-//! the vendored `signal-hook` subset), and artifact writes go through
-//! the checksummed temp+rename helpers. `perconf-lint` verifies both
+//! the vendored `signal-hook` subset), and every file write goes
+//! through `perconf_bpred::atomic_write`. `perconf-lint` verifies both
 //! statically on every CI run.
 
 #![forbid(unsafe_code)]

@@ -93,7 +93,9 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        std::fs::write(state_dir.join("endpoint"), format!("{addr}\n"))?;
+        // Not fsynced: the rendezvous file is rewritten on every start.
+        let endpoint = format!("{addr}\n");
+        perconf_bpred::atomic_write(&state_dir.join("endpoint"), &[endpoint.as_bytes()], false)?;
         Ok(Self {
             listener,
             supervisor,

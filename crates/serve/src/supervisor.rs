@@ -25,6 +25,7 @@
 use crate::actor::{self, ActorConfig, ActorOutcome};
 use crate::api::ExperimentSpec;
 use crate::cache::{CacheConfig, CellCache};
+use perconf_experiments::runner;
 use perconf_obs::{CounterSnapshot, Counters};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -369,7 +370,7 @@ impl Supervisor {
         let marker = self.pending_path(&id);
         match serde_json::to_string_pretty(spec) {
             Ok(body) => {
-                if let Err(e) = std::fs::write(&marker, body) {
+                if let Err(e) = perconf_bpred::atomic_write(&marker, &[body.as_bytes()], true) {
                     eprintln!("warning: cannot write {}: {e}", marker.display());
                 }
             }
@@ -594,7 +595,7 @@ fn run_supervised(sh: &Arc<Shared>, id: &str) {
             }
             Ok(Err(panic_payload)) => {
                 let _ = attempt.join();
-                let msg = panic_message(panic_payload.as_ref());
+                let msg = runner::panic_message(panic_payload.as_ref());
                 eprintln!("experiment {id} attempt {incarnation} panicked: {msg}");
             }
             Err(mpsc::RecvTimeoutError::Timeout | mpsc::RecvTimeoutError::Disconnected) => {
@@ -625,16 +626,6 @@ fn run_supervised(sh: &Arc<Shared>, id: &str) {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 fn finalize(sh: &Arc<Shared>, id: &str, outcome: &ActorOutcome, clean: bool) {
     // Result file first, then the pending marker: a crash between the
     // two re-runs the experiment (cheap, all cache hits) instead of
@@ -642,9 +633,7 @@ fn finalize(sh: &Arc<Shared>, id: &str, outcome: &ActorOutcome, clean: bool) {
     let path = sh.cfg.state_dir.join("results").join(format!("{id}.json"));
     match serde_json::to_string_pretty(&outcome.table) {
         Ok(body) => {
-            let tmp = path.with_extension(format!("json.tmp{}", std::process::id()));
-            let write = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, &path));
-            if let Err(e) = write {
+            if let Err(e) = perconf_bpred::atomic_write(&path, &[body.as_bytes()], true) {
                 eprintln!("warning: cannot write result {}: {e}", path.display());
             }
         }

@@ -1,6 +1,6 @@
 use crate::spec::{Program, WorkloadConfig};
 use crate::uop::{Uop, UopKind};
-use perconf_bpred::{digest_value, Snapshot, SnapshotError};
+use perconf_bpred::{Snapshot, SnapshotError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
@@ -394,12 +394,6 @@ impl Snapshot for WorkloadGenerator {
         self.path_repeats_left = f(state, "path_repeats_left")?;
         self.program.sites = sites;
         Ok(())
-    }
-
-    fn state_digest(&self) -> u64 {
-        // The generator digests its full serialized state: it is only
-        // consulted at checkpoint/verify intervals, never per cycle.
-        digest_value(&self.save_state())
     }
 }
 
