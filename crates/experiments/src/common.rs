@@ -252,6 +252,7 @@ pub fn trace_eval(
     run_branches: u64,
     density: Option<(i64, i64, u32)>,
 ) -> (ConfusionMatrix, Option<DensityPair>) {
+    let _s = profiler().scope("phase/trace_eval");
     let mut gen = WorkloadGenerator::new(wl);
     let mut cm = ConfusionMatrix::new();
     let mut dens = density.map(|(lo, hi, bin)| DensityPair::new(lo, hi, bin));
@@ -417,9 +418,67 @@ pub fn run_pipeline(
 const PHASE_WARMUP: u64 = 0;
 const PHASE_RUN: u64 = 1;
 
+/// The simulation a checkpointed run starts from: restored from
+/// whatever `cell` last stored, together with the phase it was stored
+/// in, or fresh in the warmup phase when nothing usable was stored.
+fn start_or_resume(
+    wl: &WorkloadConfig,
+    cfg: PipelineConfig,
+    mk_ctl: &dyn Fn() -> Controller,
+    cell: &CheckpointCell,
+) -> (Simulation, u64) {
+    let fresh = || {
+        let mut sim = Simulation::new(cfg, wl, mk_ctl());
+        sim.set_tracer(tracer_handle());
+        sim.set_profiler(profiler().clone());
+        sim
+    };
+    let mut sim = fresh();
+    let Some(saved) = cell.load() else {
+        return (sim, PHASE_WARMUP);
+    };
+    let restored = (|| -> Result<u64, String> {
+        let p: u64 = serde::field(&saved, "phase").map_err(|e| e.to_string())?;
+        let state = saved
+            .get("sim")
+            .ok_or_else(|| "checkpoint missing `sim`".to_owned())?;
+        sim.restore_state(state).map_err(|e| e.to_string())?;
+        Ok(p)
+    })();
+    match restored {
+        Ok(p) => (sim, p),
+        Err(e) => {
+            // A restore can die partway and leave mixed state;
+            // rebuild rather than trust it.
+            eprintln!("warning: discarding unusable mid-run checkpoint: {e}");
+            (fresh(), PHASE_WARMUP)
+        }
+    }
+}
+
+/// Checkpoints `{phase, sim}` into `cell` at one boundary. The trace
+/// event and the `phase/checkpoint` span mark every boundary; the
+/// snapshot itself is built only when the cell persists.
+fn checkpoint(cell: &CheckpointCell, sim: &Simulation, phase: u64) {
+    if tracer().enabled() {
+        tracer().record(TraceEvent::CheckpointWrite {
+            retired: sim.stats().retired,
+            phase,
+        });
+    }
+    let _s = profiler().scope("phase/checkpoint");
+    cell.store(|| {
+        Value::Object(vec![
+            ("phase".into(), Value::UInt(phase)),
+            ("sim".into(), sim.save_state()),
+        ])
+    });
+}
+
 /// Like [`run_pipeline`], but snapshotting the entire simulation into
 /// `cell` every `interval` retired uops, and resuming from whatever
-/// the cell last stored.
+/// the cell last stored. The end of warmup is one boundary, stored
+/// once in the run phase; a cell without a path builds no snapshot.
 ///
 /// The run is bit-identical to an uninterrupted [`run_pipeline`] of
 /// the same workload and scale: the snapshot captures the full machine
@@ -448,54 +507,21 @@ pub fn run_pipeline_checkpointed(
     interval: u64,
 ) -> Result<Simulation, SimError> {
     let interval = interval.max(1);
-    let mut sim = Simulation::new(cfg, wl, mk_ctl());
-    sim.set_tracer(tracer_handle());
-    sim.set_profiler(profiler().clone());
-    let mut phase = PHASE_WARMUP;
-    if let Some(saved) = cell.load() {
-        let restored = (|| -> Result<u64, String> {
-            let p: u64 = serde::field(&saved, "phase").map_err(|e| e.to_string())?;
-            let state = saved
-                .get("sim")
-                .ok_or_else(|| "checkpoint missing `sim`".to_owned())?;
-            sim.restore_state(state).map_err(|e| e.to_string())?;
-            Ok(p)
-        })();
-        match restored {
-            Ok(p) => phase = p,
-            Err(e) => {
-                // A restore can die partway and leave mixed state;
-                // rebuild rather than trust it.
-                eprintln!("warning: discarding unusable mid-run checkpoint: {e}");
-                sim = Simulation::new(cfg, wl, mk_ctl());
-                sim.set_tracer(tracer_handle());
-                sim.set_profiler(profiler().clone());
-            }
-        }
-    }
-    let checkpoint = |sim: &Simulation, phase: u64| {
-        if tracer().enabled() {
-            tracer().record(TraceEvent::CheckpointWrite {
-                retired: sim.stats().retired,
-                phase,
-            });
-        }
-        let _s = profiler().scope("phase/checkpoint");
-        cell.store(&Value::Object(vec![
-            ("phase".into(), Value::UInt(phase)),
-            ("sim".into(), sim.save_state()),
-        ]));
-    };
+    let (mut sim, phase) = start_or_resume(wl, cfg, &mk_ctl, cell);
     if phase == PHASE_WARMUP {
         let _s = profiler().scope("phase/warmup");
         while sim.stats().retired < scale.warmup_uops {
             let chunk = interval.min(scale.warmup_uops - sim.stats().retired);
             sim.try_run(chunk)?;
-            checkpoint(&sim, PHASE_WARMUP);
+            // The run-phase checkpoint below supersedes the one the
+            // last warmup chunk would store at the same retired count.
+            if sim.stats().retired < scale.warmup_uops {
+                checkpoint(cell, &sim, PHASE_WARMUP);
+            }
         }
         // Ends the warmup phase: resets stats (uops argument is 0).
         sim.try_warmup(0)?;
-        checkpoint(&sim, PHASE_RUN);
+        checkpoint(cell, &sim, PHASE_RUN);
     }
     {
         let _s = profiler().scope("phase/run");
@@ -503,7 +529,7 @@ pub fn run_pipeline_checkpointed(
             let chunk = interval.min(scale.run_uops - sim.stats().retired);
             sim.try_run(chunk)?;
             if sim.stats().retired < scale.run_uops {
-                checkpoint(&sim, PHASE_RUN);
+                checkpoint(cell, &sim, PHASE_RUN);
             }
         }
     }
@@ -552,48 +578,10 @@ pub fn run_pipeline_checkpointed_batch(
 ) -> Vec<Result<Simulation, SimError>> {
     let interval = interval.max(1);
     let n = members.len();
-    let mut phases = Vec::with_capacity(n);
-    let mut sims = Vec::with_capacity(n);
-    for m in members {
-        let mut sim = Simulation::new(cfg, m.wl, (m.mk_ctl)());
-        sim.set_tracer(tracer_handle());
-        sim.set_profiler(profiler().clone());
-        let mut phase = PHASE_WARMUP;
-        if let Some(saved) = m.cell.load() {
-            let restored = (|| -> Result<u64, String> {
-                let p: u64 = serde::field(&saved, "phase").map_err(|e| e.to_string())?;
-                let state = saved
-                    .get("sim")
-                    .ok_or_else(|| "checkpoint missing `sim`".to_owned())?;
-                sim.restore_state(state).map_err(|e| e.to_string())?;
-                Ok(p)
-            })();
-            match restored {
-                Ok(p) => phase = p,
-                Err(e) => {
-                    eprintln!("warning: discarding unusable mid-run checkpoint: {e}");
-                    sim = Simulation::new(cfg, m.wl, (m.mk_ctl)());
-                    sim.set_tracer(tracer_handle());
-                    sim.set_profiler(profiler().clone());
-                }
-            }
-        }
-        phases.push(phase);
-        sims.push(sim);
-    }
-    let checkpoint = |sim: &Simulation, cell: &CheckpointCell, phase: u64| {
-        if tracer().enabled() {
-            tracer().record(TraceEvent::CheckpointWrite {
-                retired: sim.stats().retired,
-                phase,
-            });
-        }
-        let _s = profiler().scope("phase/checkpoint");
-        cell.store(&Value::Object(vec![
-            ("phase".into(), Value::UInt(phase)),
-            ("sim".into(), sim.save_state()),
-        ]));
-    };
+    let (sims, mut phases): (Vec<Simulation>, Vec<u64>) = members
+        .iter()
+        .map(|m| start_or_resume(m.wl, cfg, &*m.mk_ctl, m.cell))
+        .unzip();
     let mut batch = BatchSim::new(sims);
     let mut outcome: Vec<Option<SimError>> = (0..n).map(|_| None).collect();
     let mut done = vec![false; n];
@@ -630,24 +618,23 @@ pub fn run_pipeline_checkpointed_batch(
             progressed = true;
             let m = &members[i];
             if phases[i] == PHASE_WARMUP {
-                // A zero-size leg (member restored at or past its
-                // warmup target) stores nothing — the sequential loop
-                // never runs a zero chunk — but still owes the phase
-                // transition below.
-                if uops[i] > 0 {
-                    checkpoint(batch.get(i), m.cell, PHASE_WARMUP);
-                }
-                if batch.get(i).stats().retired >= scale.warmup_uops {
-                    // Ends the warmup phase: resets stats.
+                if batch.get(i).stats().retired < scale.warmup_uops {
+                    checkpoint(m.cell, batch.get(i), PHASE_WARMUP);
+                } else {
+                    // Ends the warmup phase: resets stats. As in the
+                    // sequential loop, this boundary is stored once, in
+                    // the run phase. A member restored at or past its
+                    // warmup target ran a zero-size leg and lands here
+                    // directly.
                     if let Err(e) = batch.get_mut(i).try_warmup(0) {
                         outcome[i] = Some(e);
                         continue;
                     }
-                    checkpoint(batch.get(i), m.cell, PHASE_RUN);
+                    checkpoint(m.cell, batch.get(i), PHASE_RUN);
                     phases[i] = PHASE_RUN;
                 }
             } else if batch.get(i).stats().retired < scale.run_uops {
-                checkpoint(batch.get(i), m.cell, PHASE_RUN);
+                checkpoint(m.cell, batch.get(i), PHASE_RUN);
             } else {
                 m.cell.clear();
                 done[i] = true;
@@ -690,6 +677,8 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn scales_are_ordered() {
@@ -780,10 +769,12 @@ mod tests {
             let mut sim = Simulation::new(cfg, &wl, mk());
             sim.warmup(scale.warmup_uops);
             sim.try_run(scale.run_uops / 3).unwrap();
-            cell_b.store(&Value::Object(vec![
-                ("phase".into(), Value::UInt(super::PHASE_RUN)),
-                ("sim".into(), sim.save_state()),
-            ]));
+            cell_b.store(|| {
+                Value::Object(vec![
+                    ("phase".into(), Value::UInt(super::PHASE_RUN)),
+                    ("sim".into(), sim.save_state()),
+                ])
+            });
         }
         let resumed = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell_b, 9_000).unwrap();
         assert_eq!(resumed.stats(), reference.stats());
@@ -817,5 +808,127 @@ mod tests {
         let sim = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell, 11_000).unwrap();
         assert_eq!(sim.stats(), &plain);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An always-high estimator that counts its `save_state` calls:
+    /// one per snapshot built of the simulation that holds it.
+    struct SaveCounter(Arc<AtomicUsize>);
+
+    impl ConfidenceEstimator for SaveCounter {
+        fn estimate(&self, ctx: &EstimateCtx) -> perconf_core::Estimate {
+            perconf_core::AlwaysHigh.estimate(ctx)
+        }
+
+        fn train(&mut self, _: &EstimateCtx, _: perconf_core::Estimate, _: bool) {}
+
+        fn name(&self) -> &'static str {
+            "save-counter"
+        }
+
+        fn storage_bits(&self) -> u64 {
+            0
+        }
+    }
+
+    impl Snapshot for SaveCounter {
+        fn save_state(&self) -> Value {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Value::Null
+        }
+
+        fn restore_state(&mut self, _: &Value) -> Result<(), perconf_bpred::SnapshotError> {
+            Ok(())
+        }
+    }
+
+    /// Snapshots built by a sequential run through `seq` and a
+    /// one-member batched run through `batched`, tiny scale at 7k.
+    fn snapshots_built(seq: &CheckpointCell, batched: &CheckpointCell) -> [usize; 2] {
+        let wl = perconf_workload::spec2000_config("gcc").unwrap();
+        let cfg = PipelineConfig::with_depth_width(20, 4);
+        let counting = |n: &Arc<AtomicUsize>| {
+            let n = Arc::clone(n);
+            move || {
+                controller(
+                    PredictorKind::BimodalGshare,
+                    Box::new(SaveCounter(Arc::clone(&n))),
+                )
+            }
+        };
+        let (seq_calls, batch_calls) = (Arc::default(), Arc::default());
+        run_pipeline_checkpointed(&wl, cfg, counting(&seq_calls), Scale::tiny(), seq, 7_000)
+            .unwrap();
+        let members = [BatchMember {
+            wl: &wl,
+            mk_ctl: Box::new(counting(&batch_calls)),
+            cell: batched,
+        }];
+        for out in run_pipeline_checkpointed_batch(&members, cfg, Scale::tiny(), 7_000) {
+            out.unwrap();
+        }
+        [
+            seq_calls.load(Ordering::SeqCst),
+            batch_calls.load(Ordering::SeqCst),
+        ]
+    }
+
+    #[test]
+    fn disabled_cell_never_builds_a_snapshot() {
+        let off = CheckpointCell::disabled();
+        assert_eq!(snapshots_built(&off, &off), [0, 0]);
+    }
+
+    #[test]
+    fn persisting_cell_snapshots_once_per_boundary() {
+        let (dir_a, seq) = tmp_cell("boundaries-seq");
+        let (dir_b, batched) = tmp_cell("boundaries-batch");
+        // Warmup (20k) boundaries at 7k and 14k, the warmup/run
+        // boundary once, then run (40k) boundaries at 7k..35k.
+        assert_eq!(snapshots_built(&seq, &batched), [8, 8]);
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn end_of_warmup_checkpoint_of_older_builds_resumes_in_both_loops() {
+        // Older builds also stored a warmup-phase checkpoint at the end
+        // of warmup. Resume dirs and serve caches written by them must
+        // still continue to the uninterrupted result.
+        let wl = perconf_workload::spec2000_config("twolf").unwrap();
+        let scale = Scale::tiny();
+        let cfg = PipelineConfig::with_depth_width(20, 4);
+        let mk = || controller(PredictorKind::BimodalGshare, perceptron(14));
+        let off = CheckpointCell::disabled();
+        let reference = run_pipeline_checkpointed(&wl, cfg, mk, scale, &off, 9_000).unwrap();
+
+        let (dir_a, seq) = tmp_cell("old-warmup-seq");
+        let (dir_b, batched) = tmp_cell("old-warmup-batch");
+        let mut sim = Simulation::new(cfg, &wl, mk());
+        sim.try_run(scale.warmup_uops).unwrap();
+        assert!(sim.stats().retired >= scale.warmup_uops);
+        for cell in [&seq, &batched] {
+            cell.store(|| {
+                Value::Object(vec![
+                    ("phase".into(), Value::UInt(super::PHASE_WARMUP)),
+                    ("sim".into(), sim.save_state()),
+                ])
+            });
+        }
+        let from_seq = run_pipeline_checkpointed(&wl, cfg, mk, scale, &seq, 9_000).unwrap();
+        let members = [BatchMember {
+            wl: &wl,
+            mk_ctl: Box::new(mk),
+            cell: &batched,
+        }];
+        let from_batch = run_pipeline_checkpointed_batch(&members, cfg, scale, 9_000)
+            .pop()
+            .unwrap()
+            .unwrap();
+        for resumed in [&from_seq, &from_batch] {
+            assert_eq!(resumed.stats(), reference.stats());
+            assert_eq!(resumed.state_digest(), reference.state_digest());
+        }
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
     }
 }

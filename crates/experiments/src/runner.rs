@@ -184,11 +184,13 @@ impl RunnerConfig {
 ///
 /// The handle is inert when the owning [`Runner`] has no checkpoint
 /// directory: [`load`](Self::load) returns `None` and
-/// [`store`](Self::store) is a no-op, so cell code can checkpoint
-/// unconditionally. State travels through the versioned, checksummed
-/// [`snapfile`] container; a corrupt or truncated partial checkpoint
-/// is discarded (with a warning naming the reason) and the cell reruns
-/// from scratch — never deserialized into nonsense.
+/// [`store`](Self::store) never calls the closure that builds the
+/// state, so cell code can checkpoint unconditionally and pays for a
+/// snapshot only when one will be written. State travels through the
+/// versioned, checksummed [`snapfile`] container; a corrupt or
+/// truncated partial checkpoint is discarded (with a warning naming the
+/// reason) and the cell reruns from scratch — never deserialized into
+/// nonsense.
 #[derive(Debug, Clone)]
 pub struct CheckpointCell {
     path: Option<PathBuf>,
@@ -239,12 +241,14 @@ impl CheckpointCell {
         }
     }
 
-    /// Stores mid-run state, replacing any previous store atomically.
-    /// Best-effort: an I/O failure warns and continues (losing a
-    /// checkpoint must never kill the run it exists to protect).
-    pub fn store(&self, state: &Value) {
+    /// Stores the mid-run state `state` builds, replacing any previous
+    /// store atomically. `state` runs only when persistence is on, so
+    /// an inert handle never pays for building a snapshot. Best-effort:
+    /// an I/O failure warns and continues (losing a checkpoint must
+    /// never kill the run it exists to protect).
+    pub fn store(&self, state: impl FnOnce() -> Value) {
         let Some(path) = &self.path else { return };
-        if let Err(e) = snapfile::write(path, state) {
+        if let Err(e) = snapfile::write(path, &state()) {
             eprintln!(
                 "warning: cannot write partial checkpoint {}: {e}",
                 path.display()
@@ -1440,7 +1444,7 @@ mod tests {
             while n < 10 {
                 n += 1;
                 s.fetch_add(1, Ordering::SeqCst);
-                cell.store(&Value::UInt(n));
+                cell.store(|| Value::UInt(n));
                 if first && n == 5 {
                     panic!("injected mid-cell death");
                 }
@@ -1507,7 +1511,12 @@ mod tests {
     fn disabled_checkpoint_cell_is_inert() {
         let cell = CheckpointCell::disabled();
         assert!(cell.load().is_none());
-        cell.store(&Value::UInt(7));
+        let built = std::cell::Cell::new(false);
+        cell.store(|| {
+            built.set(true);
+            Value::UInt(7)
+        });
+        assert!(!built.get(), "a disabled cell must not build its state");
         cell.clear();
         assert!(cell.path().is_none());
     }
@@ -1643,7 +1652,7 @@ mod tests {
             };
             while n < 10 {
                 n += 1;
-                cell.store(&Value::UInt(n));
+                cell.store(|| Value::UInt(n));
                 if first && n == 6 {
                     panic!("injected mid-cell death");
                 }

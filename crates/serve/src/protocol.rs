@@ -12,17 +12,21 @@ use std::io::{self, BufRead, Write};
 /// result table, small enough to bound a connection's memory.
 pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
-/// Writes one message as a JSON line and flushes it.
+/// Writes one message as a JSON line, in one write, and flushes it.
+///
+/// The body and its newline go out together: on a `TcpStream` with
+/// Nagle's algorithm on, a second small write waits for the peer's
+/// delayed ACK of the first (~40 ms per reply).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; serialisation failures surface as
 /// `InvalidData`.
 pub fn write_msg<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let body = serde_json::to_string(msg)
+    let mut line = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    w.write_all(body.as_bytes())?;
-    w.write_all(b"\n")?;
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()
 }
 
@@ -97,6 +101,29 @@ mod tests {
             Some(Request::Stats)
         );
         assert_eq!(read_msg::<_, Request>(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn a_message_goes_out_in_one_write() {
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter::default();
+        write_msg(&mut w, &Request::Ping).unwrap();
+        assert_eq!(w.bytes, b"\"Ping\"\n");
+        assert_eq!(w.writes, 1, "body and newline must share one write");
     }
 
     #[test]

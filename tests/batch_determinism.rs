@@ -174,10 +174,12 @@ fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
     }
 
     let store = |cell: &CheckpointCell, phase: u64, sim: &Simulation| {
-        cell.store(&Value::Object(vec![
-            ("phase".into(), Value::UInt(phase)),
-            ("sim".into(), sim.save_state()),
-        ]));
+        cell.store(|| {
+            Value::Object(vec![
+                ("phase".into(), Value::UInt(phase)),
+                ("sim".into(), sim.save_state()),
+            ])
+        });
     };
 
     // A *batch* killed mid-warmup: advance an interleaved batch two
