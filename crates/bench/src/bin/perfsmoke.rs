@@ -9,9 +9,10 @@
 //! 9), writes the measurements to `--out` (default `BENCH_ci.json`,
 //! uploaded as a CI artifact) and compares every **`sim/` probe** —
 //! the plain, faults-wrapped, and counters-enabled cycle-loop paths —
-//! against the checked-in baseline (default
-//! `results/BENCH_baseline.json`). Exits non-zero when any gated
-//! probe regresses more than 10%.
+//! and every **`snapshot/` probe** — a deep machine's state rendered
+//! as checkpoint JSON, and parsed and restored — against the
+//! checked-in baseline (default `results/BENCH_baseline.json`). Exits
+//! non-zero when any gated probe regresses more than 10%.
 //!
 //! Raw wall-clock numbers are not comparable across machines, so every
 //! probe is *normalized* by a pure-CPU calibration loop measured in the
@@ -36,8 +37,10 @@
 // Wall-clock probes are this binary's whole purpose.
 #![allow(clippy::disallowed_methods)]
 
+use perconf_bpred::Snapshot;
+use perconf_experiments::common::{controller, jrs, PredictorKind};
 use perconf_pipeline::{PipelineConfig, Simulation};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -47,14 +50,15 @@ use std::time::Instant;
 const THRESHOLD: f64 = 0.10;
 
 /// The probe that must exist in every baseline; the gate additionally
-/// covers any other `sim/` probe present in both the run and the
-/// baseline (the faults-wrapped and counters-enabled cycle-loop paths,
-/// so the zero-overhead claims stay pinned as the layout changes).
+/// covers any other `sim/` or `snapshot/` probe present in both the run
+/// and the baseline (the faults-wrapped and counters-enabled cycle-loop
+/// paths, so the zero-overhead claims stay pinned as the layout
+/// changes, and the checkpoint encode/decode path).
 const GATED: &str = "sim/cycle-throughput-20k";
 
-/// Probes whose names start with this prefix are gated when the
-/// baseline has them too.
-const GATED_PREFIX: &str = "sim/";
+/// Probes whose names start with one of these prefixes are gated when
+/// the baseline has them too.
+const GATED_PREFIXES: [&str; 2] = ["sim/", "snapshot/"];
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Probe {
@@ -177,6 +181,30 @@ fn measure(runs: u32) -> Report {
         }
         black_box(&ce);
     };
+    // The snapshot path of every persisted checkpoint, minus the disk
+    // so fsync noise stays out: a warmed deep gated JRS machine's
+    // state (~4 MB of JSON) built and rendered, and that text parsed
+    // and restored.
+    let warm_machine = || {
+        let mut sim = Simulation::new(
+            PipelineConfig::deep().gated(1),
+            &wl,
+            controller(PredictorKind::BimodalGshare, jrs(1)),
+        );
+        sim.warmup(20_000);
+        sim
+    };
+    let saved = warm_machine();
+    let mut save_probe = || {
+        let text = serde_json::to_string(&saved.save_state()).expect("render snapshot");
+        black_box(text.len());
+    };
+    let text = serde_json::to_string(&saved.save_state()).expect("render snapshot");
+    let mut restored = warm_machine();
+    let mut restore_probe = || {
+        let state: Value = serde_json::from_str(&text).expect("parse snapshot");
+        restored.restore_state(&state).expect("restore snapshot");
+    };
 
     // Untimed warm-up pass of everything.
     cal();
@@ -185,9 +213,11 @@ fn measure(runs: u32) -> Report {
     counters_probe();
     pred_probe();
     est_probe();
+    save_probe();
+    restore_probe();
 
     let mut cal_best = f64::INFINITY;
-    let mut best = [f64::INFINITY; 5];
+    let mut best = [f64::INFINITY; 7];
     for _ in 0..runs.max(1) {
         cal_best = cal_best.min(time_once(&mut cal));
         best[0] = best[0].min(time_once(&mut sim_probe));
@@ -195,6 +225,8 @@ fn measure(runs: u32) -> Report {
         best[2] = best[2].min(time_once(&mut counters_probe));
         best[3] = best[3].min(time_once(&mut pred_probe));
         best[4] = best[4].min(time_once(&mut est_probe));
+        best[5] = best[5].min(time_once(&mut save_probe));
+        best[6] = best[6].min(time_once(&mut restore_probe));
     }
     black_box(acc);
 
@@ -204,6 +236,8 @@ fn measure(runs: u32) -> Report {
         "sim/cycle-throughput-counters-20k",
         "predictor/hybrid-10k",
         "estimator/perceptron-ce-10k",
+        "snapshot/save-render-deep",
+        "snapshot/parse-restore-deep",
     ];
     Report {
         calibration_secs: cal_best,
@@ -291,7 +325,7 @@ fn run() -> Result<(), String> {
     for now in report
         .probes
         .iter()
-        .filter(|p| p.name.starts_with(GATED_PREFIX))
+        .filter(|p| GATED_PREFIXES.iter().any(|pre| p.name.starts_with(pre)))
     {
         // A probe absent from the baseline is newly added: report it,
         // gate it once the baseline is regenerated.

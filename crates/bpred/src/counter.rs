@@ -261,4 +261,27 @@ mod tests {
         }
         assert_eq!(c.value(), 3);
     }
+
+    #[test]
+    fn derived_state_tree_borrows_its_field_names() {
+        // Predictor tables hold ~10^5 counters, so a snapshot must not
+        // allocate a `String` per field name.
+        let c = SatCounter::with_value(3, 5);
+        assert!(
+            c.as_value().is_none(),
+            "only a `Value` lends itself as a tree"
+        );
+        let serde::Value::Object(fields) = c.to_value() else {
+            panic!("a struct renders as an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| &**k).collect();
+        assert_eq!(keys, ["value", "max"]);
+        assert!(fields
+            .iter()
+            .all(|(k, _)| matches!(k, std::borrow::Cow::Borrowed(_))));
+        assert_eq!(
+            SatCounter::from_value(&serde::Value::Object(fields)).unwrap(),
+            c
+        );
+    }
 }

@@ -73,7 +73,7 @@ impl Deserialize for CounterTable {
         match v {
             Value::Object(fields) if fields.len() == 1 => {
                 let (tag, inner) = &fields[0];
-                match tag.as_str() {
+                match &**tag {
                     "Resetting" => Ok(CounterTable::Resetting(Vec::from_value(inner)?)),
                     "Saturating" => Ok(CounterTable::Saturating(Vec::from_value(inner)?)),
                     other => Err(DeError(format!(

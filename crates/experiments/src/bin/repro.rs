@@ -1070,14 +1070,14 @@ fn finish_obs(args: &Args, counters: &Option<CounterSnapshot>) -> Result<(), Str
         let report = common::profiler().report();
         let metrics = serde::Value::Object(vec![
             (
-                "counters".to_owned(),
+                "counters".into(),
                 counters
                     .as_ref()
                     .and_then(|c| serde_json::to_value(c).ok())
                     .unwrap_or(serde::Value::Null),
             ),
             (
-                "profile".to_owned(),
+                "profile".into(),
                 serde_json::to_value(&report).unwrap_or(serde::Value::Null),
             ),
         ]);

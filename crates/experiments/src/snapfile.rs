@@ -75,4 +75,27 @@ mod tests {
         assert_eq!(read(&p).unwrap(), sample);
         let _ = std::fs::remove_file(&p);
     }
+
+    #[test]
+    fn a_machine_snapshot_keeps_its_pinned_bytes_and_digest() {
+        // Recorded from the serde stack that copied the tree on every
+        // write; update both only when the state layout changes on
+        // purpose (and bump `VERSION` if old files must be rejected).
+        use crate::common::{controller, jrs, PredictorKind};
+        use perconf_bpred::Snapshot;
+        use perconf_pipeline::{PipelineConfig, Simulation};
+        let wl = perconf_workload::spec2000_config("gcc").expect("gcc workload");
+        let mut sim = Simulation::new(
+            PipelineConfig::deep().gated(1),
+            &wl,
+            controller(PredictorKind::BimodalGshare, jrs(1)),
+        );
+        sim.run(5_000);
+        let text = serde_json::to_string(&sim.save_state()).unwrap();
+        assert_eq!(
+            perconf_bpred::digest_bytes(text.as_bytes()),
+            0xbd7e_6f22_4eb1_bb65
+        );
+        assert_eq!(sim.state_digest(), 0xfccf_1256_4530_7a0a);
+    }
 }

@@ -30,7 +30,7 @@ pub mod toml;
 
 use crate::common::Scale;
 use crate::{faults, fig89, table4};
-use serde::Value;
+use serde::{Key, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -281,7 +281,7 @@ impl Src {
 // Strict tree walking.
 // ------------------------------------------------------------------ //
 
-fn fields<'v>(v: &'v Value, path: &str, src: &Src) -> Result<&'v [(String, Value)], SpecError> {
+fn fields<'v>(v: &'v Value, path: &str, src: &Src) -> Result<&'v [(Key, Value)], SpecError> {
     match v {
         Value::Object(f) => Ok(f),
         other => Err(src.err(
@@ -304,18 +304,14 @@ fn kind_name(v: &Value) -> &'static str {
 
 /// Rejects the first key not in `allowed`, citing its source line.
 fn check_keys(
-    obj: &[(String, Value)],
+    obj: &[(Key, Value)],
     prefix: &str,
     allowed: &[&str],
     src: &Src,
 ) -> Result<(), SpecError> {
     for (k, _) in obj {
-        if !allowed.contains(&k.as_str()) {
-            let dotted = if prefix.is_empty() {
-                k.clone()
-            } else {
-                format!("{prefix}.{k}")
-            };
+        if !allowed.contains(&&**k) {
+            let dotted = dotted(prefix, k);
             return Err(src.err(
                 &dotted,
                 format!(
@@ -337,7 +333,7 @@ fn dotted(prefix: &str, key: &str) -> String {
 }
 
 fn get_str(
-    obj: &[(String, Value)],
+    obj: &[(Key, Value)],
     prefix: &str,
     key: &str,
     src: &Src,
@@ -354,7 +350,7 @@ fn get_str(
 }
 
 fn get_int(
-    obj: &[(String, Value)],
+    obj: &[(Key, Value)],
     prefix: &str,
     key: &str,
     src: &Src,
@@ -373,7 +369,7 @@ fn get_int(
 }
 
 fn get_str_array(
-    obj: &[(String, Value)],
+    obj: &[(Key, Value)],
     prefix: &str,
     key: &str,
     src: &Src,
@@ -407,7 +403,7 @@ fn get_str_array(
 }
 
 fn get_f64_array(
-    obj: &[(String, Value)],
+    obj: &[(Key, Value)],
     prefix: &str,
     key: &str,
     src: &Src,
@@ -441,7 +437,7 @@ fn get_f64_array(
 }
 
 fn get_int_array(
-    obj: &[(String, Value)],
+    obj: &[(Key, Value)],
     prefix: &str,
     key: &str,
     src: &Src,
@@ -476,7 +472,7 @@ fn get_int_array(
 
 /// Array of `[int, int]` pairs (`jrs_points = [[7, 1], [7, 2]]`).
 fn get_pair_array(
-    obj: &[(String, Value)],
+    obj: &[(Key, Value)],
     prefix: &str,
     key: &str,
     src: &Src,
@@ -695,7 +691,7 @@ impl RunSpec {
     }
 
     fn parse_workload(
-        root: &[(String, Value)],
+        root: &[(Key, Value)],
         src: &Src,
     ) -> Result<Option<WorkloadSection>, SpecError> {
         let Some((_, v)) = root.iter().find(|(k, _)| k == "workload") else {
@@ -709,7 +705,7 @@ impl RunSpec {
     }
 
     fn parse_machine(
-        root: &[(String, Value)],
+        root: &[(Key, Value)],
         src: &Src,
     ) -> Result<Option<MachineSection>, SpecError> {
         let Some((_, v)) = root.iter().find(|(k, _)| k == "machine") else {
@@ -723,7 +719,7 @@ impl RunSpec {
     }
 
     fn parse_estimator(
-        root: &[(String, Value)],
+        root: &[(Key, Value)],
         src: &Src,
     ) -> Result<Option<EstimatorSection>, SpecError> {
         let Some((_, v)) = root.iter().find(|(k, _)| k == "estimator") else {
@@ -737,10 +733,7 @@ impl RunSpec {
         }))
     }
 
-    fn parse_faults(
-        root: &[(String, Value)],
-        src: &Src,
-    ) -> Result<Option<FaultsSection>, SpecError> {
+    fn parse_faults(root: &[(Key, Value)], src: &Src) -> Result<Option<FaultsSection>, SpecError> {
         let Some((_, v)) = root.iter().find(|(k, _)| k == "faults") else {
             return Ok(None);
         };
@@ -759,10 +752,7 @@ impl RunSpec {
         }))
     }
 
-    fn parse_output(
-        root: &[(String, Value)],
-        src: &Src,
-    ) -> Result<Option<OutputSection>, SpecError> {
+    fn parse_output(root: &[(Key, Value)], src: &Src) -> Result<Option<OutputSection>, SpecError> {
         let Some((_, v)) = root.iter().find(|(k, _)| k == "output") else {
             return Ok(None);
         };

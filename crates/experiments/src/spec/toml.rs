@@ -25,7 +25,7 @@
 //! object tree plus a [`SourceMap`] from dotted key paths to the
 //! 1-based source line each key (or table header) appeared on.
 
-use serde::Value;
+use serde::{Key, Value};
 use std::collections::BTreeMap;
 
 /// Dotted key path (`"faults.rates"`) → 1-based source line.
@@ -64,7 +64,7 @@ fn is_bare_key_char(c: char) -> bool {
 /// Returns a [`TomlError`] naming the offending line for any syntax
 /// error, duplicate key, or construct outside the supported subset.
 pub fn parse(text: &str) -> Result<(Value, SourceMap), TomlError> {
-    let mut root: Vec<(String, Value)> = Vec::new();
+    let mut root: Vec<(Key, Value)> = Vec::new();
     let mut lines_map: SourceMap = BTreeMap::new();
     // Dotted path of the currently open `[table]` (empty = root).
     let mut current: Vec<String> = Vec::new();
@@ -164,18 +164,14 @@ fn find_top_level_eq(line: &str) -> Option<usize> {
 }
 
 /// Walks/creates the nested object path for a `[table]` header.
-fn open_table(
-    root: &mut Vec<(String, Value)>,
-    path: &[String],
-    lineno: u32,
-) -> Result<(), TomlError> {
+fn open_table(root: &mut Vec<(Key, Value)>, path: &[String], lineno: u32) -> Result<(), TomlError> {
     let mut fields = root;
     for part in path {
         let pos = fields.iter().position(|(k, _)| k == part);
         let slot = match pos {
             Some(p) => p,
             None => {
-                fields.push((part.clone(), Value::Object(Vec::new())));
+                fields.push((part.clone().into(), Value::Object(Vec::new())));
                 fields.len() - 1
             }
         };
@@ -188,7 +184,7 @@ fn open_table(
 }
 
 fn insert_key(
-    root: &mut Vec<(String, Value)>,
+    root: &mut Vec<(Key, Value)>,
     table: &[String],
     key: &str,
     value: Value,
@@ -208,7 +204,7 @@ fn insert_key(
     if fields.iter().any(|(k, _)| k == key) {
         return err(lineno, format!("duplicate key `{key}`"));
     }
-    fields.push((key.to_owned(), value));
+    fields.push((key.to_owned().into(), value));
     Ok(())
 }
 

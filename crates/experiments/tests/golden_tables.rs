@@ -18,7 +18,7 @@ use perconf_experiments::common::{jrs, perceptron, BaselineSet, PredictorKind};
 use perconf_experiments::table4::{Table4, Table4Row};
 use perconf_experiments::{fig89, table2, Scale};
 use perconf_pipeline::PipelineConfig;
-use serde::Value;
+use serde::{Key, Value};
 use std::path::PathBuf;
 
 /// Relative tolerance for float fields. The runs are deterministic;
@@ -125,7 +125,7 @@ fn diff(path: &str, actual: &Value, expected: &Value, out: &mut Vec<String>) {
             }
         }
         (Value::Object(a), Value::Object(e)) => {
-            let keys = |o: &[(String, Value)]| o.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+            let keys = |o: &[(Key, Value)]| o.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
             if keys(a) != keys(e) {
                 out.push(format!("{path}: keys {:?} != {:?}", keys(a), keys(e)));
                 return;

@@ -32,15 +32,12 @@ impl Finding {
     #[must_use]
     pub fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
-            ("rule".to_owned(), serde::Value::Str(self.rule.to_owned())),
-            ("file".to_owned(), serde::Value::Str(self.file.clone())),
-            ("line".to_owned(), serde::Value::UInt(u64::from(self.line))),
-            ("column".to_owned(), serde::Value::UInt(u64::from(self.col))),
-            (
-                "message".to_owned(),
-                serde::Value::Str(self.message.clone()),
-            ),
-            ("help".to_owned(), serde::Value::Str(self.help.clone())),
+            ("rule".into(), serde::Value::Str(self.rule.to_owned())),
+            ("file".into(), serde::Value::Str(self.file.clone())),
+            ("line".into(), serde::Value::UInt(u64::from(self.line))),
+            ("column".into(), serde::Value::UInt(u64::from(self.col))),
+            ("message".into(), serde::Value::Str(self.message.clone())),
+            ("help".into(), serde::Value::Str(self.help.clone())),
         ])
     }
 }
@@ -58,24 +55,24 @@ pub fn report_value(findings: &[Finding], files_scanned: usize) -> serde::Value 
     }
     serde::Value::Object(vec![
         (
-            "files_scanned".to_owned(),
+            "files_scanned".into(),
             serde::Value::UInt(files_scanned as u64),
         ),
         (
-            "total_findings".to_owned(),
+            "total_findings".into(),
             serde::Value::UInt(findings.len() as u64),
         ),
         (
-            "findings_by_rule".to_owned(),
+            "findings_by_rule".into(),
             serde::Value::Object(
                 by_rule
                     .into_iter()
-                    .map(|(r, n)| (r, serde::Value::UInt(n)))
+                    .map(|(r, n)| (r.into(), serde::Value::UInt(n)))
                     .collect(),
             ),
         ),
         (
-            "findings".to_owned(),
+            "findings".into(),
             serde::Value::Array(findings.iter().map(Finding::to_value).collect()),
         ),
     ])

@@ -229,7 +229,7 @@ mod tests {
     }
 
     fn val(n: i64) -> serde::Value {
-        serde::Value::Object(vec![("n".to_owned(), serde::Value::Int(n))])
+        serde::Value::Object(vec![("n".into(), serde::Value::Int(n))])
     }
 
     fn open(dir: &Path, mem: usize, disk: usize) -> CellCache {
