@@ -12,7 +12,8 @@
 //! and every **`snapshot/` probe** — a deep machine's state rendered
 //! as checkpoint JSON, and parsed and restored — against the
 //! checked-in baseline (default `results/BENCH_baseline.json`). Exits
-//! non-zero when any gated probe regresses more than 10%.
+//! 1 when any gated probe regresses more than 10%, and 2 on an unknown
+//! flag; `--help` prints the usage and exits 0.
 //!
 //! Raw wall-clock numbers are not comparable across machines, so every
 //! probe is *normalized* by a pure-CPU calibration loop measured in the
@@ -183,7 +184,7 @@ fn measure(runs: u32) -> Report {
     };
     // The snapshot path of every persisted checkpoint, minus the disk
     // so fsync noise stays out: a warmed deep gated JRS machine's
-    // state (~4 MB of JSON) built and rendered, and that text parsed
+    // state (~0.73 MB of JSON) built and rendered, and that text parsed
     // and restored.
     let warm_machine = || {
         let mut sim = Simulation::new(
@@ -260,6 +261,9 @@ fn write_json(path: &Path, report: &Report) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
+const USAGE: &str =
+    "usage: perfsmoke [--out <file>] [--baseline <file>] [--write-baseline] [--runs <k>]";
+
 fn run() -> Result<(), String> {
     let mut out = PathBuf::from("BENCH_ci.json");
     let mut baseline = PathBuf::from("results/BENCH_baseline.json");
@@ -278,10 +282,13 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--runs: {e}"))?;
             }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return Ok(());
+            }
             other => {
-                return Err(format!(
-                    "unknown argument: {other}\nusage: perfsmoke [--out <file>] [--baseline <file>] [--write-baseline] [--runs <k>]"
-                ))
+                eprintln!("error: unknown argument: {other}\n{USAGE}");
+                std::process::exit(2);
             }
         }
     }

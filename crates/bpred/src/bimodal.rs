@@ -1,4 +1,4 @@
-use crate::counter::SatCounter;
+use crate::counter::{Counters, SatCounter};
 use crate::faultable::FaultableState;
 use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bimodal {
-    table: Vec<SatCounter>,
+    table: Counters<SatCounter>,
     index_bits: u32,
 }
 
@@ -33,7 +33,7 @@ impl Bimodal {
     pub fn new(index_bits: u32) -> Self {
         assert!((1..=28).contains(&index_bits), "index bits must be 1..=28");
         Self {
-            table: vec![SatCounter::new(2); 1 << index_bits],
+            table: Counters::new(SatCounter::new(2), 1 << index_bits),
             index_bits,
         }
     }
@@ -126,6 +126,18 @@ mod tests {
         assert!(p.predict(0x40, 0)); // still taken after one not-taken
         p.train(0x40, 0, false);
         assert!(!p.predict(0x40, 0));
+    }
+
+    #[test]
+    fn snapshot_holds_the_table_as_one_string() {
+        let mut p = Bimodal::new(4);
+        p.train(0x40, 0, true);
+        let saved = p.save_state();
+        let table = saved.get("table").expect("table field");
+        assert_eq!(table.get("max"), Some(&serde::Value::Int(3)));
+        // pc 0x40 indexes counter 0, which moved from 1 to 2.
+        let values = format!("02{}", "01".repeat(15));
+        assert_eq!(table.get("values"), Some(&serde::Value::Str(values)));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::faultable::FaultableState;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// An n-bit saturating up/down counter, the universal building block of
 /// table-based predictors and confidence estimators.
@@ -185,6 +185,156 @@ impl FaultableState for ResettingCounter {
     }
 }
 
+/// A counter that can sit in a [`Counters`] table: a value in
+/// `0..=max`, with `max = 2^bits - 1` shared by the whole table.
+pub trait TableCounter: Copy {
+    /// Current value.
+    fn value(&self) -> u8;
+
+    /// Maximum representable value.
+    fn max(&self) -> u8;
+
+    /// The counter holding `value` under `max`. Callers guarantee that
+    /// `max` is `2^bits - 1` with `bits` in `1..=7` and `value <= max`.
+    fn from_parts(value: u8, max: u8) -> Self;
+}
+
+impl TableCounter for SatCounter {
+    fn value(&self) -> u8 {
+        self.value
+    }
+
+    fn max(&self) -> u8 {
+        self.max
+    }
+
+    fn from_parts(value: u8, max: u8) -> Self {
+        Self { value, max }
+    }
+}
+
+impl TableCounter for ResettingCounter {
+    fn value(&self) -> u8 {
+        self.value
+    }
+
+    fn max(&self) -> u8 {
+        self.max
+    }
+
+    fn from_parts(value: u8, max: u8) -> Self {
+        Self { value, max }
+    }
+}
+
+/// A table of n-bit counters of one width: the state of every
+/// table-based predictor and estimator. It derefs to `[C]`, so
+/// lookups, updates and fault flips index it like a slice.
+///
+/// Its snapshot form stores the shared `max` once and every value as
+/// two lowercase hex digits, `{"max": 3, "values": "0103…"}`, so a
+/// Table 1 machine's ~150K counters are one string per table.
+///
+/// # Examples
+///
+/// ```
+/// use perconf_bpred::{Counters, SatCounter};
+/// use serde::{Deserialize, Serialize, Value};
+///
+/// let mut t = Counters::new(SatCounter::new(2), 4);
+/// t[2].inc();
+/// let saved = t.to_value();
+/// assert_eq!(saved.get("max"), Some(&Value::Int(3)));
+/// assert_eq!(saved.get("values"), Some(&Value::Str("01010201".into())));
+/// assert_eq!(Counters::<SatCounter>::from_value(&saved).unwrap(), t);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Counters<C> {
+    max: u8,
+    cells: Vec<C>,
+}
+
+impl<C: TableCounter> Counters<C> {
+    /// A table of `len` copies of `proto`.
+    #[must_use]
+    pub fn new(proto: C, len: usize) -> Self {
+        Self {
+            max: proto.max(),
+            cells: vec![proto; len],
+        }
+    }
+}
+
+impl<C> std::ops::Deref for Counters<C> {
+    type Target = [C];
+
+    fn deref(&self) -> &[C] {
+        &self.cells
+    }
+}
+
+impl<C> std::ops::DerefMut for Counters<C> {
+    fn deref_mut(&mut self) -> &mut [C] {
+        &mut self.cells
+    }
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+impl<C: TableCounter> Serialize for Counters<C> {
+    fn to_value(&self) -> Value {
+        let mut hex = Vec::with_capacity(2 * self.cells.len());
+        for c in &self.cells {
+            let v = usize::from(c.value());
+            hex.extend([HEX_DIGITS[v >> 4], HEX_DIGITS[v & 0xf]]);
+        }
+        Value::Object(vec![
+            ("max".into(), self.max.to_value()),
+            (
+                "values".into(),
+                Value::Str(String::from_utf8(hex).expect("hex digits are ASCII")),
+            ),
+        ])
+    }
+}
+
+impl<C: TableCounter> Deserialize for Counters<C> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let max: u8 = serde::field(v, "max")?;
+        if max == 0 || max > 127 || max & (max + 1) != 0 {
+            return Err(DeError(format!(
+                "counter max {max} is not 2^k - 1 with k in 1..=7"
+            )));
+        }
+        let Some(Value::Str(hex)) = v.get("values") else {
+            return Err(DeError("field `values`: expected a hex string".into()));
+        };
+        if hex.len() % 2 != 0 {
+            return Err(DeError(format!("field `values`: odd length {}", hex.len())));
+        }
+        let digit = |b: u8| match b {
+            b'0'..=b'9' => Ok(b - b'0'),
+            b'a'..=b'f' => Ok(b - b'a' + 10),
+            _ => Err(DeError(format!(
+                "field `values`: {:?} is not a lowercase hex digit",
+                char::from(b)
+            ))),
+        };
+        let cells = hex
+            .as_bytes()
+            .chunks_exact(2)
+            .map(|pair| {
+                let value = (digit(pair[0])? << 4) | digit(pair[1])?;
+                if value > max {
+                    return Err(DeError(format!("counter value {value} exceeds max {max}")));
+                }
+                Ok(C::from_parts(value, max))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self { max, cells })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,10 +412,67 @@ mod tests {
         assert_eq!(c.value(), 3);
     }
 
+    fn packed(max: i64, values: &str) -> Value {
+        Value::Object(vec![
+            ("max".into(), Value::Int(max)),
+            ("values".into(), Value::Str(values.into())),
+        ])
+    }
+
+    #[test]
+    fn counter_tables_round_trip_with_one_shared_max() {
+        let mut sat = Counters::new(SatCounter::new(3), 5);
+        sat[0].dec();
+        sat[4].inc();
+        sat[4].inc();
+        let saved = sat.to_value();
+        assert_eq!(saved, packed(7, "0203030305"));
+        assert_eq!(Counters::<SatCounter>::from_value(&saved).unwrap(), sat);
+
+        let mut jrs = Counters::new(ResettingCounter::new(4), 3);
+        for _ in 0..20 {
+            jrs[1].correct();
+        }
+        jrs[2].correct();
+        let saved = jrs.to_value();
+        assert_eq!(saved, packed(15, "000f01"));
+        assert_eq!(
+            Counters::<ResettingCounter>::from_value(&saved).unwrap(),
+            jrs
+        );
+        // Seven-bit counters use both hex digits.
+        let wide = Counters::new(SatCounter::with_value(7, 127), 2);
+        assert_eq!(wide.to_value(), packed(127, "7f7f"));
+    }
+
+    #[test]
+    fn malformed_counter_tables_are_rejected() {
+        for (max, values, why) in [
+            (0, "00", "not 2^k - 1"),
+            (2, "00", "not 2^k - 1"),
+            (5, "00", "not 2^k - 1"),
+            (255, "00", "not 2^k - 1"),
+            (3, "010", "odd length"),
+            (3, "0g", "not a lowercase hex digit"),
+            (3, "0A", "not a lowercase hex digit"),
+            (3, "-1", "not a lowercase hex digit"),
+            (3, "0104", "exceeds max"),
+        ] {
+            let err = Counters::<SatCounter>::from_value(&packed(max, values)).unwrap_err();
+            assert!(err.to_string().contains(why), "{max} {values:?}: {err}");
+        }
+        let unpacked = Value::Object(vec![
+            ("max".into(), Value::Int(3)),
+            ("values".into(), Value::Array(vec![Value::Int(1)])),
+        ]);
+        assert!(Counters::<SatCounter>::from_value(&unpacked).is_err());
+    }
+
     #[test]
     fn derived_state_tree_borrows_its_field_names() {
-        // Predictor tables hold ~10^5 counters, so a snapshot must not
-        // allocate a `String` per field name.
+        // TAGE's tagged tables hold thousands of single counters in
+        // this form, so a snapshot must not allocate a `String` per
+        // field name.
         let c = SatCounter::with_value(3, 5);
         assert!(
             c.as_value().is_none(),

@@ -1,4 +1,4 @@
-use crate::counter::SatCounter;
+use crate::counter::{Counters, SatCounter};
 use crate::faultable::FaultableState;
 use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Gshare {
-    table: Vec<SatCounter>,
+    table: Counters<SatCounter>,
     index_bits: u32,
     hist_bits: u32,
 }
@@ -45,7 +45,7 @@ impl Gshare {
             "history bits must not exceed index bits"
         );
         Self {
-            table: vec![SatCounter::new(2); 1 << index_bits],
+            table: Counters::new(SatCounter::new(2), 1 << index_bits),
             index_bits,
             hist_bits,
         }

@@ -1,4 +1,4 @@
-use crate::counter::SatCounter;
+use crate::counter::{Counters, SatCounter};
 use crate::faultable::FaultableState;
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::traits::BranchPredictor;
@@ -28,7 +28,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 pub struct Hybrid<A, B> {
     a: A,
     b: B,
-    meta: Vec<SatCounter>,
+    meta: Counters<SatCounter>,
     meta_bits: u32,
 }
 
@@ -45,7 +45,7 @@ impl<A: BranchPredictor, B: BranchPredictor> Hybrid<A, B> {
         Self {
             a,
             b,
-            meta: vec![SatCounter::new(2); 1 << meta_bits],
+            meta: Counters::new(SatCounter::new(2), 1 << meta_bits),
             meta_bits,
         }
     }

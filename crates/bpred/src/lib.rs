@@ -7,7 +7,8 @@
 //! the pieces from scratch:
 //!
 //! * [`SatCounter`] — n-bit saturating counters (the universal
-//!   building block, also reused by the confidence estimators);
+//!   building block, also reused by the confidence estimators), held
+//!   in [`Counters`] tables;
 //! * [`Bimodal`] — per-PC 2-bit counters;
 //! * [`Gshare`] — global-history XOR-indexed counters (McFarling);
 //! * [`PasPredictor`] — two-level per-address (PAs) predictor, needed
@@ -60,7 +61,7 @@ mod tage;
 mod traits;
 
 pub use bimodal::Bimodal;
-pub use counter::{ResettingCounter, SatCounter};
+pub use counter::{Counters, ResettingCounter, SatCounter, TableCounter};
 pub use faultable::{FaultablePredictor, FaultableState};
 pub use frame::atomic_write;
 pub use gshare::Gshare;

@@ -1,4 +1,4 @@
-use crate::counter::SatCounter;
+use crate::counter::{Counters, SatCounter};
 use crate::faultable::FaultableState;
 use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
@@ -30,7 +30,7 @@ use std::cell::Cell;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PasPredictor {
     local_hist: Vec<u16>,
-    pattern_table: Vec<SatCounter>,
+    pattern_table: Counters<SatCounter>,
     bht_bits: u32,
     hist_bits: u32,
     last_pattern: Cell<u16>,
@@ -54,7 +54,7 @@ impl PasPredictor {
         );
         Self {
             local_hist: vec![0; 1 << bht_bits],
-            pattern_table: vec![SatCounter::new(2); 1 << (hist_bits + 4)],
+            pattern_table: Counters::new(SatCounter::new(2), 1 << (hist_bits + 4)),
             bht_bits,
             hist_bits,
             last_pattern: Cell::new(0),

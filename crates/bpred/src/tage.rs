@@ -1,4 +1,4 @@
-use crate::counter::SatCounter;
+use crate::counter::{Counters, SatCounter};
 use crate::faultable::FaultableState;
 use crate::snapshot::Snapshot;
 use crate::traits::BranchPredictor;
@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tage {
-    base: Vec<SatCounter>,
+    base: Counters<SatCounter>,
     base_bits: u32,
     tables: Vec<TaggedTable>,
     /// Use-alt-on-new-alloc counter (dynamic choice between provider
@@ -147,7 +147,7 @@ impl Tage {
             })
             .collect();
         Self {
-            base: vec![SatCounter::new(2); 1 << (index_bits + 2)],
+            base: Counters::new(SatCounter::new(2), 1 << (index_bits + 2)),
             base_bits: index_bits + 2,
             tables,
             use_alt: SatCounter::new(4),

@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{FaultableState, ResettingCounter, SatCounter, Snapshot};
+use perconf_bpred::{Counters, FaultableState, ResettingCounter, SatCounter, Snapshot};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// How a JRS table entry reacts to a misprediction.
@@ -51,8 +51,8 @@ impl Default for JrsConfig {
 
 #[derive(Debug, Clone)]
 enum CounterTable {
-    Resetting(Vec<ResettingCounter>),
-    Saturating(Vec<SatCounter>),
+    Resetting(Counters<ResettingCounter>),
+    Saturating(Counters<SatCounter>),
 }
 
 // Tuple variants are outside the vendored serde derive's supported
@@ -74,8 +74,8 @@ impl Deserialize for CounterTable {
             Value::Object(fields) if fields.len() == 1 => {
                 let (tag, inner) = &fields[0];
                 match &**tag {
-                    "Resetting" => Ok(CounterTable::Resetting(Vec::from_value(inner)?)),
-                    "Saturating" => Ok(CounterTable::Saturating(Vec::from_value(inner)?)),
+                    "Resetting" => Ok(CounterTable::Resetting(Counters::from_value(inner)?)),
+                    "Saturating" => Ok(CounterTable::Saturating(Counters::from_value(inner)?)),
                     other => Err(DeError(format!(
                         "unknown variant `{other}` of CounterTable"
                     ))),
@@ -138,10 +138,11 @@ impl JrsEstimator {
         );
         let n = 1usize << cfg.index_bits;
         let table = match cfg.miss_policy {
-            MissPolicy::Reset => CounterTable::Resetting(vec![proto; n]),
-            MissPolicy::Decrement => {
-                CounterTable::Saturating(vec![SatCounter::with_value(cfg.counter_bits, 0); n])
-            }
+            MissPolicy::Reset => CounterTable::Resetting(Counters::new(proto, n)),
+            MissPolicy::Decrement => CounterTable::Saturating(Counters::new(
+                SatCounter::with_value(cfg.counter_bits, 0),
+                n,
+            )),
         };
         Self { table, cfg }
     }

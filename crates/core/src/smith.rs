@@ -1,5 +1,5 @@
 use crate::estimate::{ConfidenceClass, ConfidenceEstimator, Estimate, EstimateCtx};
-use perconf_bpred::{FaultableState, SatCounter, Snapshot};
+use perconf_bpred::{Counters, FaultableState, SatCounter, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// Smith's counter-based confidence scheme (1981, as evaluated by
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SmithCe {
-    table: Vec<SatCounter>,
+    table: Counters<SatCounter>,
     index_bits: u32,
     counter_bits: u8,
 }
@@ -44,7 +44,7 @@ impl SmithCe {
     pub fn new(index_bits: u32, counter_bits: u8) -> Self {
         assert!((1..=26).contains(&index_bits), "index bits must be 1..=26");
         Self {
-            table: vec![SatCounter::new(counter_bits); 1 << index_bits],
+            table: Counters::new(SatCounter::new(counter_bits), 1 << index_bits),
             index_bits,
             counter_bits,
         }

@@ -275,7 +275,20 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: repro <experiment> [--full | --tiny] [--json <dir>] [--csv <dir>] [--resume <dir>] [--seed <u64>] [--jobs <n>] [--batch <n>] [--timing <file>]\n\
+     \x20            [--grid full|small] [--profile] [--metrics-out <file>] [--trace-out <file>] [--force]\n\
+     \x20      repro run <spec.toml|spec.json> [--check] [--jobs <n>] [--batch <n>] [--resume <dir>] [--json <dir>] [--csv <dir>] [--timing <file>] [--force]\n\
+     \x20      repro verify [--bench <name>] [--full | --tiny] [--trace <file> [--tolerant]]\n\
+     \x20      repro obs <file.pobs> [--jsonl <file>] [--force]\n\
+     \x20      repro sweep --queue <dir> [--workers <n>] [--grid full|small] [--lease-secs <s>] [--chaos <spec>] [--cell-timeout <s>]\n\
+     \x20      repro faults --gc --resume <dir>\n\
+     \x20      repro serve [--state <dir>] [--addr <ip:port>] [--queue <n>] [--restarts <n>] [--watchdog <s>]\n\
+     \x20      repro submit [--state <dir> | --addr <ip:port>] --seed <u64> [--full | --tiny] [--grid full|small] [--json <dir>] [--chaos kill]\n\
+     experiments: table2 table3 table4 table5 table6 fig4 fig5 fig6 fig7 fig8 fig9 latency energy faults sweep verify obs run all\n\
+     exit codes: 0 ok | 1 error | 2 usage | 3 ok-but-degraded-input | 4 failed cells | 5 all failures were watchdog timeouts | 6 unsupported spec_version";
+
+/// The parsed command line, or `None` when it asks for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut experiment = None;
     let mut input = None;
     let mut scale = Scale::quick();
@@ -412,9 +425,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--gc" => gc = true,
             "--check" => check = true,
-            "--help" | "-h" => {
-                return Err(String::new());
-            }
+            "--help" | "-h" => return Ok(None),
             other if experiment.is_none() && !other.starts_with('-') => {
                 experiment = Some(other.to_owned());
             }
@@ -424,7 +435,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(Args {
+    Ok(Some(Args {
         experiment: experiment.ok_or("missing experiment name")?,
         input,
         scale,
@@ -453,7 +464,7 @@ fn parse_args() -> Result<Args, String> {
         chaos_script,
         gc,
         check,
-    })
+    }))
 }
 
 fn grid_by_name(name: &str) -> faults::Grid {
@@ -1152,24 +1163,13 @@ fn main() -> ExitCode {
         }
     }
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: repro <experiment> [--full | --tiny] [--json <dir>] [--csv <dir>] [--resume <dir>] [--seed <u64>] [--jobs <n>] [--batch <n>] [--timing <file>]\n\
-                 \x20            [--grid full|small] [--profile] [--metrics-out <file>] [--trace-out <file>] [--force]\n\
-                 \x20      repro run <spec.toml|spec.json> [--check] [--jobs <n>] [--batch <n>] [--resume <dir>] [--json <dir>] [--csv <dir>] [--timing <file>] [--force]\n\
-                 \x20      repro verify [--bench <name>] [--full | --tiny] [--trace <file> [--tolerant]]\n\
-                 \x20      repro obs <file.pobs> [--jsonl <file>] [--force]\n\
-                 \x20      repro sweep --queue <dir> [--workers <n>] [--grid full|small] [--lease-secs <s>] [--chaos <spec>] [--cell-timeout <s>]\n\
-                 \x20      repro faults --gc --resume <dir>\n\
-                 \x20      repro serve [--state <dir>] [--addr <ip:port>] [--queue <n>] [--restarts <n>] [--watchdog <s>]\n\
-                 \x20      repro submit [--state <dir> | --addr <ip:port>] --seed <u64> [--full | --tiny] [--grid full|small] [--json <dir>] [--chaos kill]\n\
-                 experiments: table2 table3 table4 table5 table6 fig4 fig5 fig6 fig7 fig8 fig9 latency energy faults sweep verify obs run all\n\
-                 exit codes: 0 ok | 1 error | 2 usage | 3 ok-but-degraded-input | 4 failed cells | 5 all failures were watchdog timeouts | 6 unsupported spec_version"
-            );
+            eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::from(exit::USAGE);
         }
     };

@@ -16,6 +16,7 @@ use perconf_core::{
     PerceptronCeConfig, PerceptronTnt, PerceptronTntConfig, SimEstimator, SmithCe,
     SpeculationController, TysonCe,
 };
+use perconf_experiments::exitcode as exit;
 use perconf_pipeline::{EnergyModel, PipelineConfig, SimStats, Simulation};
 use std::process::ExitCode;
 
@@ -58,7 +59,12 @@ impl Default for Options {
     }
 }
 
-fn parse() -> Result<Options, String> {
+const USAGE: &str = "usage: sim [--bench NAME] [--depth N] [--width N] [--predictor P] \
+     [--estimator E] [--lambda N] [--reverse N] [--gate PLn] [--ce-latency N] \
+     [--uops N] [--warmup N] [--energy] [--density] [--out DIR]";
+
+/// The parsed command line, or `None` when it asks for `--help`.
+fn parse() -> Result<Option<Options>, String> {
     let mut o = Options::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -84,11 +90,11 @@ fn parse() -> Result<Options, String> {
             "--energy" => o.energy = true,
             "--density" => o.density = true,
             "--out" => o.out = Some(val("--out")?.into()),
-            "--help" | "-h" => return Err(String::new()),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok(o)
+    Ok(Some(o))
 }
 
 fn build_predictor(name: &str) -> Result<Box<dyn SimPredictor>, String> {
@@ -188,8 +194,7 @@ fn report(stats: &SimStats, o: &Options) {
     }
 }
 
-fn run() -> Result<(), String> {
-    let o = parse()?;
+fn run(o: &Options) -> Result<(), String> {
     let wl = perconf_workload::spec2000_config(&o.bench)
         .ok_or_else(|| format!("unknown benchmark {}", o.bench))?;
     let mut cfg = PipelineConfig::with_depth_width(o.depth, o.width);
@@ -199,7 +204,7 @@ fn run() -> Result<(), String> {
     if o.density {
         cfg = cfg.with_density(-350, 260, 10);
     }
-    let ctl = SpeculationController::new(build_predictor(&o.predictor)?, build_estimator(&o)?);
+    let ctl = SpeculationController::new(build_predictor(&o.predictor)?, build_estimator(o)?);
     let mut sim = Simulation::new(cfg, &wl, ctl);
     sim.warmup(o.warmup);
     sim.run(o.uops);
@@ -214,7 +219,7 @@ fn run() -> Result<(), String> {
         o.estimator,
         o.gate.map_or(String::new(), |g| format!(" (gated PL{g})"))
     );
-    report(&stats, &o);
+    report(&stats, o);
 
     if o.density {
         if let Some(d) = &stats.density {
@@ -239,18 +244,22 @@ fn write_staged(path: &std::path::Path, bytes: &[u8]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let o = match parse() {
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::from(exit::USAGE);
+        }
+    };
+    match run(&o) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: sim [--bench NAME] [--depth N] [--width N] [--predictor P] \
-                 [--estimator E] [--lambda N] [--reverse N] [--gate PLn] [--ce-latency N] \
-                 [--uops N] [--warmup N] [--energy] [--density] [--out DIR]"
-            );
-            ExitCode::FAILURE
+            eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::from(exit::FAILURE)
         }
     }
 }

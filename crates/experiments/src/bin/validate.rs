@@ -42,6 +42,8 @@ impl Checker {
     }
 }
 
+const USAGE: &str = "usage: validate [--tiny | --full] [--jobs <n>]";
+
 fn main() -> ExitCode {
     let mut scale = Scale::quick();
     let mut jobs = default_jobs();
@@ -60,10 +62,12 @@ fn main() -> ExitCode {
                     });
                 jobs = if n == 0 { default_jobs() } else { n };
             }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             other => {
-                eprintln!(
-                    "unknown argument {other}; usage: validate [--tiny | --full] [--jobs <n>]"
-                );
+                eprintln!("unknown argument {other}; {USAGE}");
                 return ExitCode::from(exit::USAGE);
             }
         }

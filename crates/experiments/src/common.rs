@@ -810,6 +810,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn partial_checkpoint_of_version_1_is_discarded_and_recomputed() {
+        // Builds before packed counter tables wrote version 1. Such a
+        // partial must be refused by its header, never misread.
+        let wl = perconf_workload::spec2000_config("twolf").unwrap();
+        let scale = Scale::tiny();
+        let cfg = PipelineConfig::with_depth_width(20, 4);
+        let mk = || controller(PredictorKind::BimodalGshare, jrs(7));
+        let off = CheckpointCell::disabled();
+        let reference = run_pipeline_checkpointed(&wl, cfg, mk, scale, &off, 9_000).unwrap();
+
+        let (dir, cell) = tmp_cell("version-1");
+        let mut sim = Simulation::new(cfg, &wl, mk());
+        sim.warmup(scale.warmup_uops);
+        sim.try_run(scale.run_uops / 3).unwrap();
+        let state = Value::Object(vec![
+            ("phase".into(), Value::UInt(super::PHASE_RUN)),
+            ("sim".into(), sim.save_state()),
+        ]);
+        let payload = serde_json::to_string(&state).unwrap();
+        let path = cell.path().unwrap();
+        perconf_bpred::frame::write(path, crate::snapfile::MAGIC, 1, payload.as_bytes()).unwrap();
+        assert!(matches!(
+            crate::snapfile::read(path),
+            Err(crate::snapfile::SnapfileError::UnsupportedVersion { found: 1 })
+        ));
+
+        let resumed = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell, 9_000).unwrap();
+        assert_eq!(resumed.stats(), reference.stats());
+        assert_eq!(resumed.state_digest(), reference.state_digest());
+        assert!(!path.exists(), "the refused partial is gone");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// An always-high estimator that counts its `save_state` calls:
     /// one per snapshot built of the simulation that holds it.
     struct SaveCounter(Arc<AtomicUsize>);

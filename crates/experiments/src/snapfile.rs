@@ -21,8 +21,11 @@ pub use perconf_bpred::frame::FrameError as SnapfileError;
 pub const MAGIC: [u8; 8] = *b"PSNAP001";
 
 /// Current format version. Bumped when the payload encoding changes
-/// incompatibly; readers reject versions they don't know.
-pub const VERSION: u32 = 1;
+/// incompatibly; readers reject versions they don't know. Version 2
+/// packs counter tables into hex strings and leaves the pipeline's
+/// status window out, so version-1 files read as
+/// [`SnapfileError::UnsupportedVersion`] and are recomputed.
+pub const VERSION: u32 = 2;
 
 /// Writes `state` to `path` atomically: serialize, then frame, fsync
 /// and rename over the destination.
@@ -69,7 +72,7 @@ mod tests {
         write(&p, &sample).unwrap();
         let payload = br#"{"now":12345,"weights":[-3,7]}"#;
         let bytes = std::fs::read(&p).unwrap();
-        assert_eq!(&bytes[..12], b"PSNAP001\x01\x00\x00\x00");
+        assert_eq!(&bytes[..12], b"PSNAP001\x02\x00\x00\x00");
         assert_eq!(&bytes[20..28], &(payload.len() as u64).to_le_bytes());
         assert_eq!(&bytes[28..], payload);
         assert_eq!(read(&p).unwrap(), sample);
@@ -78,9 +81,10 @@ mod tests {
 
     #[test]
     fn a_machine_snapshot_keeps_its_pinned_bytes_and_digest() {
-        // Recorded from the serde stack that copied the tree on every
-        // write; update both only when the state layout changes on
-        // purpose (and bump `VERSION` if old files must be rejected).
+        // Recorded with packed counter tables and a derived status
+        // window (version 2); update both only when the state layout
+        // changes on purpose (and bump `VERSION` if old files must be
+        // rejected).
         use crate::common::{controller, jrs, PredictorKind};
         use perconf_bpred::Snapshot;
         use perconf_pipeline::{PipelineConfig, Simulation};
@@ -94,8 +98,8 @@ mod tests {
         let text = serde_json::to_string(&sim.save_state()).unwrap();
         assert_eq!(
             perconf_bpred::digest_bytes(text.as_bytes()),
-            0xbd7e_6f22_4eb1_bb65
+            0x121f_7a0c_67d7_5fdd
         );
-        assert_eq!(sim.state_digest(), 0xfccf_1256_4530_7a0a);
+        assert_eq!(sim.state_digest(), 0x9dbc_8f01_1a95_b83f);
     }
 }

@@ -33,7 +33,8 @@ fn usage() -> String {
     )
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The parsed command line, or `None` when it asks for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         workspace: false,
         root: None,
@@ -67,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
                 args.rules = Some(set);
             }
             "--quiet" => args.quiet = true,
-            "--help" | "-h" => return Err(usage()),
+            "--help" | "-h" => return Ok(None),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`\n{}", usage()));
             }
@@ -75,7 +76,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if args.workspace == args.paths.is_empty() {
-        Ok(args)
+        Ok(Some(args))
     } else if args.workspace {
         Err("--workspace and explicit files are mutually exclusive".to_owned())
     } else {
@@ -104,7 +105,11 @@ fn run(args: &Args) -> Result<Analysis, String> {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);

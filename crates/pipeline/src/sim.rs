@@ -119,11 +119,17 @@ const NO_PROD: u64 = u64::MAX;
 const WAIT_SLOTS: usize = 1 << 12;
 const WAIT_MASK: usize = WAIT_SLOTS - 1;
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SlotStatus {
     seq: u64,
     completed: bool,
 }
+
+/// A status slot no live uop owns.
+const FREE_SLOT: SlotStatus = SlotStatus {
+    seq: u64::MAX,
+    completed: true,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
@@ -355,7 +361,9 @@ pub struct Simulation {
     complete_ring: Vec<Vec<(u32, u64)>>, // lint: transient — derived, rebuilt on restore
     /// Overflow for completions due ≥ `COMPLETE_RING` cycles out.
     complete_far: Vec<(u32, u64, u64)>, // lint: transient — derived, rebuilt on restore
-    status: Vec<SlotStatus>,
+    /// Completion status by `seq & STATUS_MASK`, rebuilt on restore
+    /// from the live uops (see `rebuild_status`).
+    status: Vec<SlotStatus>, // lint: transient — derived, rebuilt on restore
     cp_ring: [u64; CP_RING],
     cp_index: u64,
     gate: GateCounter,
@@ -414,13 +422,7 @@ impl Simulation {
             waiters: vec![Vec::new(); WAIT_SLOTS],
             complete_ring: vec![Vec::new(); COMPLETE_RING],
             complete_far: Vec::new(),
-            status: vec![
-                SlotStatus {
-                    seq: u64::MAX,
-                    completed: true,
-                };
-                STATUS_WINDOW
-            ],
+            status: vec![FREE_SLOT; STATUS_WINDOW],
             cp_ring: [u64::MAX; CP_RING],
             cp_index: 0,
             gate: GateCounter::new(cfg.gating.map_or(1, |g| g.counter_threshold)),
@@ -1282,6 +1284,34 @@ impl Simulation {
         }
     }
 
+    /// Rebuilds the status window from the live uops, ROB then front
+    /// end, oldest first, as fetch wrote it. Exact: a slot no live uop
+    /// owns reads as completed whatever its `seq` (`is_complete` and
+    /// fetch's reuse check read only `completed` there, and
+    /// `mark_complete` runs only for live uops), and a live uop owns
+    /// its slot unless a younger one took it over after it completed.
+    ///
+    /// # Errors
+    ///
+    /// Rejects two live uops on one slot while the older has not
+    /// completed: the state fetch refuses as
+    /// [`SimError::StatusWindowReuse`].
+    fn rebuild_status(&mut self) -> Result<(), SnapshotError> {
+        self.status.fill(FREE_SLOT);
+        for &i in self.rob.iter().chain(&self.frontend) {
+            let (seq, completed) = (self.arena.seq[i as usize], self.arena.completed[i as usize]);
+            let slot = &mut self.status[seq as usize & STATUS_MASK];
+            if !slot.completed {
+                return Err(SnapshotError::msg(SimError::StatusWindowReuse {
+                    seq,
+                    occupant: slot.seq,
+                }));
+            }
+            *slot = SlotStatus { seq, completed };
+        }
+        Ok(())
+    }
+
     /// Rebuilds the derived scheduler state (ready list + wakeup
     /// table) and completion ring from the authoritative queue + arena
     /// state (after a restore or an arena permutation). All are pure
@@ -1364,7 +1394,7 @@ impl Simulation {
 
 /// Snapshotting captures the *entire* simulated machine: workload
 /// cursor, predictor and estimator tables, caches and prefetcher,
-/// front-end pipe, ROB, completion window, gate state and statistics.
+/// front-end pipe, ROB, gate state and statistics.
 /// Restoring into a simulation built from the same `PipelineConfig`
 /// and workload resumes bit-identically — every subsequent cycle
 /// produces the same state digests as an uninterrupted run.
@@ -1373,6 +1403,11 @@ impl Simulation {
 /// oldest first) as [`Inflight`] records, so snapshot bytes — and
 /// therefore [`state_digest`](Snapshot::state_digest) — are completely
 /// independent of how the arena happened to assign slots.
+///
+/// Everything derivable from those records is left out and rebuilt on
+/// restore: the sequence-status window (each live uop's `seq` and
+/// `completed`, every other slot free), the ready list, the wakeup
+/// table and the completion ring.
 ///
 /// The pipeline config is embedded in the snapshot and checked on
 /// restore, so a checkpoint can never silently resume under a
@@ -1389,7 +1424,6 @@ impl Snapshot for Simulation {
             ("mem".into(), self.mem.to_value()),
             ("frontend".into(), self.snapshot_queue(&self.frontend)),
             ("rob".into(), self.snapshot_queue(&self.rob)),
-            ("status".into(), self.status.to_value()),
             ("cp_ring".into(), self.cp_ring.to_value()),
             ("cp_index".into(), self.cp_index.to_value()),
             ("gate".into(), self.gate.save_state()),
@@ -1423,13 +1457,6 @@ impl Snapshot for Simulation {
                 "snapshot was taken under a different pipeline configuration",
             ));
         }
-        let status: Vec<SlotStatus> = f(state, "status")?;
-        if status.len() != STATUS_WINDOW {
-            return Err(SnapshotError::msg(format!(
-                "snapshot status window has {} slots, expected {STATUS_WINDOW}",
-                status.len()
-            )));
-        }
         let frontend: Vec<Inflight> = f(state, "frontend")?;
         let rob: Vec<Inflight> = f(state, "rob")?;
         self.gen.restore_state(part(state, "gen")?)?;
@@ -1447,7 +1474,7 @@ impl Snapshot for Simulation {
             let idx = self.arena.insert(e);
             self.rob.push_back(idx);
         }
-        self.status = status;
+        self.rebuild_status()?;
         self.cp_ring = f(state, "cp_ring")?;
         self.cp_index = f(state, "cp_index")?;
         self.gate_pending = f(state, "gate_pending")?;
@@ -1703,6 +1730,100 @@ mod tests {
         assert_eq!(a.stats().retired, b.stats().retired);
         assert_eq!(a.stats().cycles, b.stats().cycles);
         assert_eq!(a.stats().base_mispredicts, b.stats().base_mispredicts);
+    }
+
+    #[test]
+    fn status_window_is_rebuilt_exactly_after_a_squash() {
+        let wl = workload("mcf");
+        let ce =
+            || Box::new(PerceptronCe::new(PerceptronCeConfig::default())) as Box<dyn SimEstimator>;
+        let mk = || Simulation::new(PipelineConfig::deep().gated(1), &wl, controller(ce()));
+        let mut a = mk();
+        a.run(5_000);
+        let squashes = a.stats().squashes;
+        while a.stats().squashes == squashes {
+            a.step();
+        }
+        while a.frontend.is_empty() || a.rob.is_empty() {
+            a.step();
+        }
+        assert!(
+            a.rob.iter().any(|&i| !a.arena.completed[i as usize]),
+            "the ROB should hold a uop still in flight"
+        );
+        let snap = a.save_state();
+        assert!(snap.get("status").is_none(), "the status window is derived");
+
+        let mut b = mk();
+        b.restore_state(&snap).expect("restore");
+        // Every slot reads as the live machine's: the same `completed`,
+        // and the same owner wherever that owner has not completed.
+        // Slots the squash freed keep their dead `seq` in `a` only.
+        for (live, rebuilt) in a.status.iter().zip(&b.status) {
+            assert_eq!(live.completed, rebuilt.completed);
+            if !live.completed {
+                assert_eq!(live.seq, rebuilt.seq);
+            }
+        }
+        assert_ne!(a.status, b.status, "the squash left dead seqs behind");
+        for _ in 0..2_000 {
+            a.step();
+            b.step();
+            assert_eq!(a.state_digest(), b.state_digest());
+        }
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn restore_refuses_a_slot_whose_older_owner_is_in_flight() {
+        let wl = workload("twolf");
+        let mut a = Simulation::with_defaults(PipelineConfig::deep(), &wl);
+        a.run(3_000);
+        assert!(!a.frontend.is_empty(), "the test needs a front-end uop");
+        let rob_uop = |completed: bool| {
+            a.rob
+                .iter()
+                .map(|&i| i as usize)
+                .find(|&i| a.arena.completed[i] == completed)
+                .map(|i| a.arena.seq[i])
+                .expect("the ROB holds uops in both states")
+        };
+        // The youngest front-end uop moved onto an older ROB uop's slot.
+        let sharing = |older: u64| {
+            let taken = older + STATUS_WINDOW as u64;
+            let mut snap = a.save_state();
+            let Value::Object(fields) = &mut snap else {
+                panic!("a snapshot is an object")
+            };
+            let frontend = &mut fields.iter_mut().find(|f| f.0 == "frontend").unwrap().1;
+            let Value::Array(uops) = frontend else {
+                panic!("the front end is an array")
+            };
+            let Value::Object(youngest) = uops.last_mut().unwrap() else {
+                panic!("a uop is an object")
+            };
+            youngest.iter_mut().find(|f| f.0 == "seq").unwrap().1 = Value::UInt(taken);
+            (snap, taken)
+        };
+        let mut b = Simulation::with_defaults(PipelineConfig::deep(), &wl);
+
+        let (snap, _) = sharing(rob_uop(false));
+        let err = b.restore_state(&snap).unwrap_err();
+        assert!(
+            err.to_string().contains("status-window slot reuse"),
+            "{err}"
+        );
+        // Fetch may reuse a completed uop's slot while that uop waits
+        // to retire; the younger uop then owns it.
+        let (snap, taken) = sharing(rob_uop(true));
+        b.restore_state(&snap).expect("restore");
+        assert_eq!(
+            b.status[taken as usize & STATUS_MASK],
+            SlotStatus {
+                seq: taken,
+                completed: false
+            }
+        );
     }
 
     #[test]
