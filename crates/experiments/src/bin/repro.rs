@@ -121,6 +121,7 @@
 use perconf_experiments::runner::{
     default_jobs, degraded_count, gc_dir, Scheduler, SchedulerConfig,
 };
+use perconf_experiments::spec::{Lowered, RunSpec, SpecError};
 use perconf_experiments::{
     common, distrib, energy, exit, faults, fig89, figs, latency, table2, table3, table4, table5,
     table6, verify, Scale,
@@ -253,8 +254,8 @@ struct Args {
     queue: Option<PathBuf>,
     /// Worker processes for `sweep` (1 = inline, no subprocess).
     workers: usize,
-    /// Grid selector for `faults`/`sweep`: `full` or `small`.
-    grid: String,
+    /// Grid preset for `faults`/`sweep` (`--grid full|small`).
+    grid: faults::Grid,
     /// Pipeline-leg batch width for `faults` (1 = unbatched).
     batch: usize,
     /// Lease duration for `sweep` queue claims. `None` falls back to
@@ -309,7 +310,7 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut force = false;
     let mut queue = None;
     let mut workers = 1;
-    let mut grid = "full".to_owned();
+    let mut grid = faults::Grid::full();
     let mut lease_secs = None;
     let mut chaos = None;
     let mut cell_timeout = None;
@@ -390,33 +391,15 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .map_err(|e| format!("--workers: {e}"))?;
             }
             "--grid" => {
-                grid = it.next().ok_or("--grid needs `full` or `small`")?;
-                if grid != "full" && grid != "small" {
-                    return Err(format!("--grid must be `full` or `small`, got `{grid}`"));
-                }
+                let name = it.next().ok_or("--grid needs `full` or `small`")?;
+                grid = faults::Grid::by_name(&name)
+                    .ok_or_else(|| format!("--grid must be `full` or `small`, got `{name}`"))?;
             }
-            "--lease-secs" => {
-                let secs: u64 = it
-                    .next()
-                    .ok_or("--lease-secs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--lease-secs: {e}"))?;
-                if secs == 0 {
-                    return Err("--lease-secs must be at least 1".to_owned());
-                }
-                lease_secs = Some(secs);
-            }
+            "--lease-secs" => lease_secs = Some(parse_secs("--lease-secs", it.next())?),
             "--chaos" => {
                 chaos = Some(it.next().ok_or("--chaos needs a key=value,... spec")?);
             }
-            "--cell-timeout" => {
-                cell_timeout = Some(
-                    it.next()
-                        .ok_or("--cell-timeout needs seconds")?
-                        .parse()
-                        .map_err(|e| format!("--cell-timeout: {e}"))?,
-                );
-            }
+            "--cell-timeout" => cell_timeout = Some(parse_secs("--cell-timeout", it.next())?),
             "--worker-id" => {
                 worker_id = Some(it.next().ok_or("--worker-id needs an id")?);
             }
@@ -467,12 +450,17 @@ fn parse_args() -> Result<Option<Args>, String> {
     }))
 }
 
-fn grid_by_name(name: &str) -> faults::Grid {
-    if name == "small" {
-        faults::Grid::small()
-    } else {
-        faults::Grid::full()
+/// Parses the whole seconds after `flag`. Zero is refused: a zero
+/// lease expires at once, and a zero watchdog fails every attempt.
+fn parse_secs(flag: &str, raw: Option<String>) -> Result<u64, String> {
+    let secs: u64 = raw
+        .ok_or_else(|| format!("{flag} needs seconds"))?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))?;
+    if secs == 0 {
+        return Err(format!("{flag} must be at least 1"));
     }
+    Ok(secs)
 }
 
 /// The `verify` experiment: determinism, replay and fault-divergence
@@ -645,20 +633,14 @@ fn run_one(
     args: &Args,
     counters: &mut Option<CounterSnapshot>,
 ) -> Result<(), RunFailure> {
+    if name == "faults" && args.gc {
+        return run_gc(args);
+    }
+    if let Some(lowered) = lower_subcommand(name, args)? {
+        return run_lowered(lowered, args, counters);
+    }
     let scale = args.scale;
     match name {
-        "table2" => {
-            let benches = bench_list(args)?;
-            // Routed through the scheduler — not the plain in-process
-            // path — so checkpoints, resume, and job fan-out behave
-            // exactly like a spec-driven run (byte-identical outputs,
-            // `.psnap` files included; pinned by test and CI).
-            let mut scheduler = scheduler_for(args);
-            let (t, timings) = table2::run_scheduled(scale, &benches, &mut scheduler);
-            let t = t.map_err(|failed| failed_cells(failed, &timings))?;
-            println!("{}", t.render());
-            save_json(&args.json_dir, "table2", &t, args.force);
-        }
         "table3" => {
             let t = table3::run(scale);
             println!("{}", t.render());
@@ -667,16 +649,6 @@ fn run_one(
                 t.perceptron_pvn_dominates()
             );
             save_json(&args.json_dir, "table3", &t, args.force);
-        }
-        "table4" => {
-            let t = table4::run_points(
-                scale,
-                bench_list(args)?,
-                &table4::default_jrs_points(),
-                &table4::default_perceptron_lambdas(),
-            );
-            println!("{}", t.render());
-            save_json(&args.json_dir, "table4", &t, args.force);
         }
         "table5" => {
             let t = table5::run(scale);
@@ -715,18 +687,6 @@ fn run_one(
             save_file(&args.csv_dir, "fig7_tnt_zoom.svg", &svg_zoom, args.force);
             save_json(&args.json_dir, "fig67", &f, args.force);
         }
-        "fig8" => {
-            let f = fig89::run_on(fig89::Machine::Deep, scale, bench_list(args)?);
-            println!("{}", f.render());
-            save_file(&args.csv_dir, "fig8.svg", &f.to_svg(), args.force);
-            save_json(&args.json_dir, "fig8", &f, args.force);
-        }
-        "fig9" => {
-            let f = fig89::run_on(fig89::Machine::Wide, scale, bench_list(args)?);
-            println!("{}", f.render());
-            save_file(&args.csv_dir, "fig9.svg", &f.to_svg(), args.force);
-            save_json(&args.json_dir, "fig9", &f, args.force);
-        }
         "latency" => {
             let l = latency::run(scale);
             println!("{}", l.render());
@@ -738,12 +698,6 @@ fn run_one(
             println!("{}", e.render());
             println!("gating saves energy: {}", e.gating_saves_energy());
             save_json(&args.json_dir, "energy", &e, args.force);
-        }
-        "faults" => {
-            if args.gc {
-                return run_gc(args);
-            }
-            run_faults_grid(args, &grid_by_name(&args.grid), scale, args.seed, counters)?;
         }
         "sweep" => {
             if let Some(id) = &args.worker_id {
@@ -766,7 +720,7 @@ fn run_one(
                 workers: args.workers,
                 scale,
                 seed: args.seed,
-                grid: grid_by_name(&args.grid),
+                grid: args.grid.clone(),
                 timings,
                 chaos,
                 cell_timeout: args.cell_timeout.map(Duration::from_secs),
@@ -851,49 +805,124 @@ fn failed_cells(
     RunFailure::FailedCells { keys, kinds }
 }
 
-/// The faults sweep on an explicit grid — shared by the `faults`
-/// subcommand (preset via `--grid`) and spec-driven runs (preset or
-/// explicit axes), so both produce byte-identical output.
-fn run_faults_grid(
+/// What `repro run` would lower the equivalent spec to, for the
+/// subcommands a spec can express (`table2`, `table4`, `fig8`, `fig9`,
+/// `faults`); `None` for every other subcommand.
+fn lower_subcommand(name: &str, args: &Args) -> Result<Option<Lowered>, RunFailure> {
+    let scale = args.scale;
+    let lowered = match name {
+        "table2" => Lowered::Table2 {
+            scale,
+            benchmarks: bench_list(args)?,
+        },
+        "table4" => Lowered::Table4 {
+            scale,
+            benchmarks: bench_list(args)?,
+            jrs_points: table4::default_jrs_points(),
+            perceptron_lambdas: table4::default_perceptron_lambdas(),
+        },
+        "fig8" | "fig9" => Lowered::Fig89 {
+            machine: if name == "fig8" {
+                fig89::Machine::Deep
+            } else {
+                fig89::Machine::Wide
+            },
+            scale,
+            benchmarks: bench_list(args)?,
+            name: name.to_owned(),
+        },
+        "faults" => Lowered::Faults {
+            scale,
+            seed: args.seed,
+            grid: args.grid.clone(),
+        },
+        _ => return Ok(None),
+    };
+    Ok(Some(lowered))
+}
+
+/// Runs a lowered experiment: the one path under both the hard-coded
+/// subcommands and `repro run <spec>`, so the two produce
+/// byte-identical outputs, checkpoint files included.
+fn run_lowered(
+    lowered: Lowered,
     args: &Args,
-    grid: &faults::Grid,
-    scale: Scale,
-    seed: u64,
     counters: &mut Option<CounterSnapshot>,
 ) -> Result<(), RunFailure> {
-    let mut scheduler = scheduler_for(args);
-    // Width 1 runs the identical engine one cell per group; any width
-    // produces byte-identical output (pinned by the batch determinism
-    // suite), so batching is purely a throughput knob.
-    let (t, timings) = faults::run_grid_batched(scale, seed, grid, &mut scheduler, args.batch);
-    println!("{}", t.render());
-    println!(
-        "faults degrade metrics monotonically: {}",
-        t.degrades_monotonically()
-    );
-    *counters = Some(t.counters.clone());
-    report_timings(&timings, args.jobs, &args.timing, args.force);
-    save_json(&args.json_dir, "faults", &t, args.force);
-    if t.failed.is_empty() {
-        // Clean completion: collect the stale partials and temp files
-        // a killed earlier run may have left.
-        if let Some(dir) = &args.resume_dir {
-            let gc = gc_dir(dir);
-            if gc.total() > 0 {
-                eprintln!(
-                    "[gc: removed {} stale partial(s), {} temp file(s) from {}]",
-                    gc.partials_removed,
-                    gc.temps_removed,
-                    dir.display()
-                );
+    match lowered {
+        Lowered::Table2 { scale, benchmarks } => {
+            // Routed through the scheduler — not the plain in-process
+            // path — so checkpoints, resume, and job fan-out behave
+            // like every other cell-based experiment.
+            let mut scheduler = scheduler_for(args);
+            let (t, timings) = table2::run_scheduled(scale, &benchmarks, &mut scheduler);
+            let t = t.map_err(|failed| failed_cells(failed, &timings))?;
+            println!("{}", t.render());
+            save_json(&args.json_dir, "table2", &t, args.force);
+        }
+        Lowered::Table4 {
+            scale,
+            benchmarks,
+            jrs_points,
+            perceptron_lambdas,
+        } => {
+            let t = table4::run_points(scale, benchmarks, &jrs_points, &perceptron_lambdas);
+            println!("{}", t.render());
+            save_json(&args.json_dir, "table4", &t, args.force);
+        }
+        Lowered::Fig89 {
+            machine,
+            scale,
+            benchmarks,
+            name,
+        } => {
+            let f = fig89::run_on(machine, scale, benchmarks);
+            println!("{}", f.render());
+            save_file(
+                &args.csv_dir,
+                &format!("{name}.svg"),
+                &f.to_svg(),
+                args.force,
+            );
+            save_json(&args.json_dir, &name, &f, args.force);
+        }
+        Lowered::Faults { scale, seed, grid } => {
+            let mut scheduler = scheduler_for(args);
+            // Width 1 runs the identical engine one cell per group; any
+            // width produces byte-identical output (pinned by the batch
+            // determinism suite), so batching is purely a throughput
+            // knob.
+            let (t, timings) =
+                faults::run_grid_batched(scale, seed, &grid, &mut scheduler, args.batch);
+            println!("{}", t.render());
+            println!(
+                "faults degrade metrics monotonically: {}",
+                t.degrades_monotonically()
+            );
+            *counters = Some(t.counters.clone());
+            report_timings(&timings, args.jobs, &args.timing, args.force);
+            save_json(&args.json_dir, "faults", &t, args.force);
+            if !t.failed.is_empty() {
+                // Failure classes come from the timing rows, which
+                // carry each failed cell's terminal error kind.
+                return Err(failed_cells(t.failed.clone(), &timings));
+            }
+            // Clean completion: collect the stale partials and temp
+            // files a killed earlier run may have left.
+            if let Some(dir) = &args.resume_dir {
+                let gc = gc_dir(dir);
+                if gc.total() > 0 {
+                    eprintln!(
+                        "[gc: removed {} stale partial(s), {} temp file(s) from {}]",
+                        gc.partials_removed,
+                        gc.temps_removed,
+                        dir.display()
+                    );
+                }
             }
         }
-        Ok(())
-    } else {
-        // Failure classes come from the timing rows, which carry each
-        // failed cell's terminal error kind.
-        Err(failed_cells(t.failed.clone(), &timings))
     }
+    Ok(())
 }
 
 /// `repro run <spec>`: execute (or, with `--check`, just validate) a
@@ -905,7 +934,6 @@ fn run_faults_grid(
 /// checkpoint files included — byte-identical (CI's `specs` lane
 /// gates on exactly that).
 fn run_spec(args: &Args, counters: &mut Option<CounterSnapshot>) -> Result<(), RunFailure> {
-    use perconf_experiments::spec::{Lowered, RunSpec, SpecError};
     let input = args
         .input
         .as_deref()
@@ -950,45 +978,7 @@ fn run_spec(args: &Args, counters: &mut Option<CounterSnapshot>) -> Result<(), R
             )));
         }
     }
-    match lowered {
-        Lowered::Table2 { scale, benchmarks } => {
-            let mut scheduler = scheduler_for(args);
-            let (t, timings) = table2::run_scheduled(scale, &benchmarks, &mut scheduler);
-            let t = t.map_err(|failed| failed_cells(failed, &timings))?;
-            println!("{}", t.render());
-            save_json(&args.json_dir, "table2", &t, args.force);
-        }
-        Lowered::Table4 {
-            scale,
-            benchmarks,
-            jrs_points,
-            perceptron_lambdas,
-        } => {
-            let t = table4::run_points(scale, benchmarks, &jrs_points, &perceptron_lambdas);
-            println!("{}", t.render());
-            save_json(&args.json_dir, "table4", &t, args.force);
-        }
-        Lowered::Fig89 {
-            machine,
-            scale,
-            benchmarks,
-            name,
-        } => {
-            let f = fig89::run_on(machine, scale, benchmarks);
-            println!("{}", f.render());
-            save_file(
-                &args.csv_dir,
-                &format!("{name}.svg"),
-                &f.to_svg(),
-                args.force,
-            );
-            save_json(&args.json_dir, &name, &f, args.force);
-        }
-        Lowered::Faults { scale, seed, grid } => {
-            run_faults_grid(args, &grid, scale, seed, counters)?;
-        }
-    }
-    Ok(())
+    run_lowered(lowered, args, counters)
 }
 
 /// Warns (actionably) when `--resume` points at a directory that

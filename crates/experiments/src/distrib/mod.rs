@@ -12,9 +12,9 @@
 //!
 //! * [`queue`] — the on-disk protocol: atomic-rename claims, mtime
 //!   leases, reaping, checksummed result publication;
-//! * [`worker`] — the per-process loop: claim, execute through the
-//!   checkpointing [`Runner`](crate::runner::Runner), heartbeat,
-//!   publish (with exactly-once late-result suppression);
+//! * [`worker`] — the per-process loop: claim, execute on a one-job
+//!   checkpointing [`Scheduler`], heartbeat, publish (with
+//!   exactly-once late-result suppression);
 //! * [`run_sweep`] — the coordinator: creates the queue, spawns and
 //!   supervises workers (respawning dead ones with a bounded budget),
 //!   drains stragglers inline, then merges results in canonical grid
@@ -42,9 +42,10 @@ pub use timings::Timings;
 pub use worker::{run_worker, WorkerConfig, CHAOS_EXIT};
 
 use crate::common::Scale;
-use crate::faults::{cell_seed, run_cell, table_from_cells, FaultCell, FaultTable, Grid};
+use crate::faults::{table_from_cells, FaultCell, FaultTable, Grid};
 use crate::runner::{
-    failure_kind, gc_dir, load_final_checkpoint, note_degraded, GcReport, Runner, RunnerConfig,
+    failure_kind, gc_dir, load_final_checkpoint, note_degraded, GcReport, RunnerConfig, Scheduler,
+    SchedulerConfig,
 };
 use perconf_faults::process::render_script;
 use perconf_faults::{ChaosConfig, ChaosPlan};
@@ -341,9 +342,12 @@ fn merge(
     report: &mut DistribReport,
 ) -> Result<(FaultTable, GcReport), String> {
     let cells_dir = queue.cells_dir();
-    let mut runner = Runner::new(RunnerConfig {
-        timeout: cfg.cell_timeout,
-        ..RunnerConfig::resuming(&cells_dir)
+    let mut scheduler = Scheduler::new(SchedulerConfig {
+        runner: RunnerConfig {
+            timeout: cfg.cell_timeout,
+            ..RunnerConfig::resuming(&cells_dir)
+        },
+        jobs: 1,
     });
     let manifest = queue.manifest().clone();
     let mut cells: Vec<FaultCell> = Vec::new();
@@ -372,12 +376,7 @@ fn merge(
         }
         // Nothing anywhere: recompute inline (resume picks up an
         // orphaned mid-cell partial if one exists).
-        let (bench, est) = (desc.benchmark.clone(), desc.estimator.clone());
-        let (rate, scale) = (desc.rate, manifest.scale);
-        let cs = cell_seed(manifest.seed, &bench, &est, desc.rate_idx);
-        let r = runner.run_cell_report(&desc.key, move |chk| {
-            run_cell(&bench, &est, rate, cs, scale, chk)
-        });
+        let r = worker::run_queued_cell(&mut scheduler, &manifest, &desc);
         if r.resumed_mid_cell {
             report.cells_resumed_mid_cell += 1;
         }

@@ -36,9 +36,8 @@
 //! Corrupt entries never abort a sweep: an unreadable `CellDesc` is
 //! reconstructed from the manifest grid by key (or dropped if the key
 //! is foreign), a corrupt result file is deleted and recomputed, and
-//! every such event is counted via
-//! [`note_degraded`](crate::runner::note_degraded) so the binaries can
-//! exit with the documented "degraded" code.
+//! every such event is counted via [`note_degraded`] so the binaries
+//! can exit with the documented "degraded" code.
 //!
 //! Determinism: nothing in this module influences cell *content*. A
 //! cell's bytes depend only on `(seed, coordinates, scale)` via

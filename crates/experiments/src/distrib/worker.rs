@@ -5,9 +5,9 @@
 //!
 //! 1. [`reap`](Queue::reap) expired leases (so dead peers' cells come
 //!    back), then try to [`claim`](Queue::claim) a cell;
-//! 2. execute it through [`Runner::run_cell_report`] — the same
-//!    engine (watchdog, retries, mid-cell `.part.psnap` checkpoints)
-//!    the single-process sweep uses, pointed at the queue's shared
+//! 2. execute it on a one-job [`Scheduler`] — the same engine
+//!    (watchdog, retries, mid-cell `.part.psnap` checkpoints) the
+//!    single-process sweep uses, pointed at the queue's shared
 //!    `cells/` directory so an orphaned partial from a dead peer is
 //!    picked up by whoever claims the cell next;
 //! 3. heartbeat the lease from a side thread while the cell runs;
@@ -32,10 +32,10 @@
 //! delay. This is how the chaos tests kill half the fleet mid-sweep
 //! deterministically.
 
-use super::queue::{Claim, Queue};
+use super::queue::{CellDesc, Claim, Manifest, Queue};
 use super::timings::Timings;
-use crate::faults::{cell_seed, run_cell};
-use crate::runner::{CellReport, Runner, RunnerConfig};
+use crate::faults::{cell_seed, run_cell, FaultCell};
+use crate::runner::{partial_path, CellReport, CellSpec, RunnerConfig, Scheduler, SchedulerConfig};
 use perconf_faults::ChaosAction;
 use perconf_obs::{CounterSnapshot, Counters};
 use std::path::{Path, PathBuf};
@@ -149,6 +149,23 @@ fn arm_mid_cell_killer(partial: &Path, stop: &Arc<AtomicBool>) {
     });
 }
 
+/// Runs one queued cell on `scheduler`: the work a claim executes, and
+/// the coordinator's inline recompute during the merge.
+pub(super) fn run_queued_cell(
+    scheduler: &mut Scheduler,
+    manifest: &Manifest,
+    desc: &CellDesc,
+) -> CellReport<FaultCell> {
+    let (bench, est) = (desc.benchmark.clone(), desc.estimator.clone());
+    let (rate, scale) = (desc.rate, manifest.scale);
+    let cs = cell_seed(manifest.seed, &bench, &est, desc.rate_idx);
+    let cell = CellSpec::new(desc.key.clone(), move |chk| {
+        run_cell(&bench, &est, rate, cs, scale, chk)
+    });
+    let mut report = scheduler.run_cells(vec![cell]);
+    report.cells.pop().expect("one cell in, one report out")
+}
+
 /// Runs the worker loop to queue exhaustion. Returns this worker's
 /// scheduling counters (also persisted to `workers/<id>.json` in the
 /// queue after every cell, so a killed worker's partial statistics
@@ -191,13 +208,17 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
         counters.counter("distrib", name, 0);
     }
 
-    let mut runner = Runner::new(RunnerConfig {
-        checkpoint_dir: Some(queue.cells_dir()),
-        resume: true,
-        timeout: cfg.timeout,
-        retries: 1,
-        backoff: cfg.timings.cell_backoff,
-        ..RunnerConfig::default()
+    let cells_dir = queue.cells_dir();
+    let mut scheduler = Scheduler::new(SchedulerConfig {
+        runner: RunnerConfig {
+            checkpoint_dir: Some(cells_dir.clone()),
+            resume: true,
+            timeout: cfg.timeout,
+            retries: 1,
+            backoff: cfg.timings.cell_backoff,
+            ..RunnerConfig::default()
+        },
+        jobs: 1,
     });
 
     let mut claim_index: u64 = 0;
@@ -244,22 +265,13 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
                 hb.stop();
             }
             Some(ChaosAction::KillMidCell) => {
-                if let Some(partial) = runner.partial_path(&desc.key) {
-                    arm_mid_cell_killer(&partial, &mid_cell_stop);
-                }
+                arm_mid_cell_killer(&partial_path(&cells_dir, &desc.key), &mid_cell_stop);
             }
             Some(ChaosAction::KillOnClaim) | None => {}
         }
 
         let hb = Heartbeat::start(&queue, &claim, heartbeat_every);
-        let report: CellReport<crate::faults::FaultCell> = {
-            let (bench, est) = (desc.benchmark.clone(), desc.estimator.clone());
-            let (rate, scale) = (desc.rate, manifest.scale);
-            let cs = cell_seed(manifest.seed, &bench, &est, desc.rate_idx);
-            runner.run_cell_report(&desc.key, move |chk| {
-                run_cell(&bench, &est, rate, cs, scale, chk)
-            })
-        };
+        let report = run_queued_cell(&mut scheduler, &manifest, &desc);
         hb.stop();
         mid_cell_stop.store(true, Ordering::Relaxed);
 

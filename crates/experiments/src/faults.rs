@@ -20,7 +20,7 @@
 //! was built for. [`FaultTable::degrades_monotonically`] encodes
 //! exactly that shape.
 //!
-//! Cells run through the [`Scheduler`](crate::runner::Scheduler): a
+//! Cells run through the [`Scheduler`]: a
 //! panic or hang in one cell marks that cell failed and the sweep
 //! continues; with `repro faults --resume <dir>` completed cells are
 //! loaded from checkpoints instead of recomputed, and `--jobs N` fans

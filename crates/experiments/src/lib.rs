@@ -26,10 +26,9 @@
 //! | `sweep` | distributed (multi-process) fault sweep | [`distrib`] |
 //! | `run <spec>` | any of the above from a declarative spec file | [`spec`] |
 //!
-//! Long sweeps run their cells through [`runner::Runner`] (one cell
-//! at a time) or [`runner::Scheduler`] (`--jobs N` worker threads
-//! over a shared queue); both drive the same per-cell engine, which
-//! isolates panics, applies watchdog timeouts, and checkpoints
+//! Long sweeps run their cells through [`runner::Scheduler`] (`--jobs
+//! N` threads; one job runs cells one at a time), whose per-cell
+//! engine isolates panics, applies watchdog timeouts, and checkpoints
 //! completed cells so `repro --resume <dir>` skips finished work.
 //! Scheduler output is byte-identical for any job count: results
 //! merge in canonical sweep order and every cell seeds from its grid

@@ -1,29 +1,29 @@
-//! Panic-isolated, watchdogged, resumable sweep execution —
-//! sequential ([`Runner`]) and parallel ([`Scheduler`]).
+//! Panic-isolated, watchdogged, resumable sweep execution.
 //!
 //! Large sweeps ((benchmark × estimator × config) grids) used to be
 //! all-or-nothing: one panicking or hanging cell killed hours of
-//! finished work. [`Runner`] executes each cell on a worker thread
-//! under `catch_unwind` with a watchdog timeout and bounded
-//! retry-with-backoff; completed cells are checkpointed as JSON so a
+//! finished work. [`Scheduler`] is the one front end of the cell
+//! engine: it fans [`CellSpec`]s or [`BatchSpec`] groups across a
+//! bounded pool of threads (`--jobs` in the binaries), and runs each
+//! group's work through [`run_attempt`] — its own thread, under
+//! `catch_unwind`, with a watchdog timeout — with bounded
+//! retry-with-backoff. Completed cells are checkpointed as JSON so a
 //! rerun with `resume` enabled skips everything already done and only
 //! re-executes cells that failed (their `*.failed.json` markers are
-//! cleared on resume).
+//! cleared on resume). A single cell is a one-member batch, so one
+//! engine (`execute_batch`) serves every caller.
 //!
 //! A failed cell produces a [`RunError`] value — the sweep continues
 //! and the driver reports which cells are missing rather than dying.
 //!
-//! [`Scheduler`] fans a whole cell list out across a bounded pool of
-//! worker threads (`--jobs` in the binaries) while keeping the exact
-//! per-cell semantics above — both frontends share one cell-execution
-//! engine ([`execute_cell`]). Its determinism contract: the merged
-//! [`SweepReport`] lists cells in **submission (canonical) order**
-//! regardless of worker count or completion order, per-cell checkpoint
-//! files depend only on the cell key, and nothing a cell computes may
-//! depend on scheduling (derive per-cell RNG seeds from the cell
-//! coordinates, never from execution order). Wall-clock timings are
-//! the one intentionally nondeterministic output and live in the
-//! separate [`CellTiming`] report.
+//! Determinism contract: the merged [`SweepReport`] lists cells in
+//! **submission (canonical) order** regardless of worker count or
+//! completion order, per-cell checkpoint files depend only on the cell
+//! key, and nothing a cell computes may depend on scheduling (derive
+//! per-cell RNG seeds from the cell coordinates, never from execution
+//! order). Wall-clock timings are the one intentionally
+//! nondeterministic output and live in the separate [`CellTiming`]
+//! report.
 
 use crate::snapfile;
 use serde::{Deserialize, DeserializeOwned, Serialize, Value};
@@ -124,7 +124,7 @@ impl From<perconf_pipeline::SimError> for RunError {
     }
 }
 
-/// Isolation and checkpointing policy for a [`Runner`].
+/// Per-cell isolation and checkpointing policy of a [`Scheduler`].
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
     /// Directory for per-cell checkpoints and failure markers. `None`
@@ -182,7 +182,7 @@ impl RunnerConfig {
 /// interrupted (timed-out, panicked, killed) cell can resume from its
 /// last in-flight checkpoint instead of from scratch.
 ///
-/// The handle is inert when the owning [`Runner`] has no checkpoint
+/// The handle is inert when the scheduler has no checkpoint
 /// directory: [`load`](Self::load) returns `None` and
 /// [`store`](Self::store) never calls the closure that builds the
 /// state, so cell code can checkpoint unconditionally and pays for a
@@ -265,15 +265,11 @@ impl CheckpointCell {
     }
 }
 
-/// Worker threads abandoned by the watchdog, shared between the
-/// sequential and parallel frontends. They cannot be killed, but they
-/// are *kept* (not leaked detached) and joined as soon as they finish,
-/// bounding the number of live stray threads.
-type Zombies = Arc<Mutex<Vec<thread::JoinHandle<()>>>>;
-
-/// A sweep cell's work function: receives its mid-run checkpoint
-/// handle, returns the cell result.
-type WorkFn<T> = Arc<dyn Fn(&CheckpointCell) -> T + Send + Sync>;
+/// Attempt threads abandoned by the watchdog of [`run_attempt`]. They
+/// cannot be killed, but they are *kept* (not leaked detached) and
+/// joined as soon as they finish, bounding the number of live stray
+/// threads. `Zombies::default()` is an empty list.
+pub type Zombies = Arc<Mutex<Vec<thread::JoinHandle<()>>>>;
 
 /// Work function of a [`BatchSpec`]: receives the indices of the
 /// members that still need computing plus every member's checkpoint
@@ -377,49 +373,20 @@ pub struct CellTiming {
     pub error_kind: Option<String>,
 }
 
-/// The shared per-cell engine: final-checkpoint resume, failure-marker
-/// clearing, mid-cell checkpoint wiring, panic-isolated watchdogged
-/// attempts with exponential backoff, checkpoint/marker persistence.
-/// Both [`Runner::run_cell_resumable`] and [`Scheduler::run_cells`]
-/// funnel through here, so the two frontends cannot drift.
-fn execute_cell<T>(
-    cfg: &RunnerConfig,
-    zombies: &Zombies,
-    key: &str,
-    work: WorkFn<T>,
-) -> CellReport<T>
-where
-    T: Serialize + DeserializeOwned + Send + 'static,
-{
-    // A single cell is exactly a width-1 batch; keeping one engine
-    // means resume/retry/marker semantics cannot drift between the
-    // sequential and batched paths.
-    let spec = BatchSpec {
-        keys: vec![key.to_owned()],
-        work: Arc::new(move |pending: &[usize], cells: &[CheckpointCell]| {
-            debug_assert_eq!(pending, [0]);
-            vec![work(&cells[0])]
-        }),
-    };
-    execute_batch(cfg, zombies, &spec)
-        .pop()
-        .expect("width-1 batch yields exactly one report")
-}
-
-/// Runs one batch group through the shared cell-execution engine:
-/// per-member final-checkpoint resume and failure markers, one
-/// watchdog + retry budget around the grouped work function.
+/// The cell-execution engine: runs one batch group (a single cell is
+/// a one-member group) with per-member final-checkpoint resume and
+/// failure markers, and one watchdog + retry budget around the
+/// grouped work function.
 ///
-/// Per-member semantics match [`execute_cell`] exactly (which *is*
-/// the width-1 case): members whose final checkpoint exists resume
-/// without running; stale failure markers clear; a pre-existing
-/// partial checkpoint records `resumed_mid_cell` without counting as
-/// a retry. The remaining members execute together in one attempt
-/// thread — the work function receives their indices plus every
-/// member's [`CheckpointCell`] — under a watchdog scaled by the
-/// pending member count. An attempt failure (panic or timeout) is
-/// charged to every pending member; mid-run checkpoints written
-/// before the failure still bound the rework on retry.
+/// Members whose final checkpoint exists resume without running;
+/// stale failure markers clear; a pre-existing partial checkpoint
+/// records `resumed_mid_cell` without counting as a retry. The
+/// remaining members execute together in one [`run_attempt`] — the
+/// work function receives their indices plus every member's
+/// [`CheckpointCell`] — under a watchdog scaled by the pending member
+/// count. An attempt failure (panic or timeout) is charged to every
+/// pending member; mid-run checkpoints written before the failure
+/// still bound the rework on retry.
 fn execute_batch<T>(
     cfg: &RunnerConfig,
     zombies: &Zombies,
@@ -431,7 +398,6 @@ where
     #[allow(clippy::disallowed_methods)]
     // lint: allow(nondeterminism-sources) — elapsed-time progress logging only
     let start = Instant::now();
-    reap_zombie_list(zombies);
     let n = spec.keys.len();
     let cells: Vec<CheckpointCell> = spec
         .keys
@@ -482,12 +448,6 @@ where
             .map(|r| r.expect("all members resumed"))
             .collect();
     }
-    let thunk: Arc<dyn Fn() -> Vec<T> + Send + Sync> = {
-        let work = Arc::clone(&spec.work);
-        let work_cells = cells.clone();
-        let idxs = pending.clone();
-        Arc::new(move || work(&idxs, &work_cells))
-    };
     // The watchdog guards the whole grouped attempt, so its budget
     // scales with how many members actually run.
     #[allow(clippy::cast_possible_truncation)]
@@ -514,7 +474,9 @@ where
             thread::sleep(retry_backoff(cfg, &spec.keys[pending[0]], attempt));
         }
         attempts += 1;
-        match run_attempt(timeout, zombies, Arc::clone(&thunk)) {
+        let work = Arc::clone(&spec.work);
+        let (idxs, work_cells) = (pending.clone(), cells.clone());
+        match run_attempt(timeout, zombies, move || work(&idxs, &work_cells)) {
             Ok(values) => {
                 assert_eq!(
                     values.len(),
@@ -586,60 +548,71 @@ fn retry_backoff(cfg: &RunnerConfig, key: &str, attempt: u32) -> Duration {
     base.mul_f64(1.0 + jitter * u)
 }
 
-/// One isolated attempt: worker thread + `catch_unwind` + watchdog.
-fn run_attempt<T>(
+/// One isolated attempt: runs `work` on its own thread under
+/// `catch_unwind` and a watchdog (`None` waits forever). This is the
+/// only place that spawns an isolated attempt — the scheduler's cells
+/// and the experiment server's actors both come through here.
+///
+/// A thread that outlives its watchdog cannot be killed; it is parked
+/// on `zombies` and joined by a later call once it has finished. Each
+/// call gets its own result channel, so an abandoned attempt that
+/// finishes late can never deliver into a newer one.
+///
+/// # Errors
+///
+/// [`RunError::Panic`] when `work` panicked, [`RunError::Timeout`]
+/// when the watchdog expired, [`RunError::Io`] when the thread could
+/// not be spawned.
+///
+/// # Panics
+///
+/// Propagates a poisoned zombie-list mutex.
+pub fn run_attempt<T, F>(
     timeout: Option<Duration>,
     zombies: &Zombies,
-    work: Arc<dyn Fn() -> T + Send + Sync>,
+    work: F,
 ) -> Result<T, RunError>
 where
     T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
 {
+    reap_zombie_list(zombies);
     let (tx, rx) = mpsc::channel();
     let handle = thread::Builder::new()
-        .name("sweep-cell".to_owned())
+        .name("attempt".to_owned())
         .spawn(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(|| work()));
+            let result = panic::catch_unwind(AssertUnwindSafe(work));
             // Receiver gone = watchdog already gave up on us.
             let _ = tx.send(result);
         })
         .map_err(|e| RunError::Io {
             message: format!("cannot spawn worker: {e}"),
         })?;
-    let outcome = match timeout {
-        Some(t) => match rx.recv_timeout(t) {
-            Ok(r) => {
-                // The worker has reported; it exits imminently.
-                let _ = handle.join();
-                r
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // The worker cannot be killed. Keep its handle so it
-                // is joined as soon as it finishes (reaped at the next
-                // cell) instead of leaking detached.
-                zombies.lock().expect("zombie list lock").push(handle);
-                return Err(RunError::Timeout {
-                    seconds: t.as_secs_f64(),
-                });
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = handle.join();
-                Err(Box::new(String::from("worker vanished without reporting"))
-                    as Box<dyn std::any::Any + Send>)
-            }
-        },
-        None => {
-            let r = rx.recv().unwrap_or_else(|_| {
-                Err(Box::new(String::from("worker vanished without reporting"))
-                    as Box<dyn std::any::Any + Send>)
-            });
-            let _ = handle.join();
-            r
-        }
+    let received = match timeout {
+        Some(t) => rx.recv_timeout(t),
+        None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
     };
-    outcome.map_err(|payload| RunError::Panic {
-        message: panic_message(payload.as_ref()),
-    })
+    if matches!(received, Err(mpsc::RecvTimeoutError::Timeout)) {
+        // The thread cannot be killed. Keep its handle so a later
+        // attempt joins it once it finishes, instead of leaking it
+        // detached.
+        zombies.lock().expect("zombie list lock").push(handle);
+        return Err(RunError::Timeout {
+            seconds: timeout.unwrap_or_default().as_secs_f64(),
+        });
+    }
+    // The thread has reported (or died without reporting); it exits
+    // imminently.
+    let _ = handle.join();
+    match received {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(payload)) => Err(RunError::Panic {
+            message: panic_message(payload.as_ref()),
+        }),
+        Err(_) => Err(RunError::Panic {
+            message: "worker vanished without reporting".to_owned(),
+        }),
+    }
 }
 
 // The checkpoint-directory layout: per cell key, `<key>.json` holds
@@ -662,7 +635,14 @@ fn failed_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
 }
 
 fn partial_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
-    Some(cell_file(cfg.checkpoint_dir.as_deref()?, key, PARTIAL))
+    Some(partial_path(cfg.checkpoint_dir.as_deref()?, key))
+}
+
+/// Where a checkpoint directory keeps the mid-cell partial checkpoint
+/// of `key` (`<dir>/<key>.part.psnap`).
+#[must_use]
+pub fn partial_path(dir: &Path, key: &str) -> PathBuf {
+    cell_file(dir, key, PARTIAL)
 }
 
 /// Loads the final result a checkpoint directory holds for `key`
@@ -783,158 +763,20 @@ fn write_failure_marker(cfg: &RunnerConfig, key: &str, err: &RunError) {
     }
 }
 
-/// Executes sweep cells with panic isolation, a watchdog, retries and
-/// JSON checkpointing. See the module docs.
-#[derive(Debug)]
-pub struct Runner {
-    cfg: RunnerConfig,
-    failures: Vec<(String, RunError)>,
-    executed: u64,
-    resumed: u64,
-    zombies: Zombies,
-}
-
-impl Runner {
-    /// Builds a runner. The checkpoint directory is created lazily on
-    /// first use.
-    #[must_use]
-    pub fn new(cfg: RunnerConfig) -> Self {
-        Self {
-            cfg,
-            failures: Vec::new(),
-            executed: 0,
-            resumed: 0,
-            zombies: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// A runner with no persistence and no watchdog: plain panic
-    /// isolation with the default retry budget.
-    #[must_use]
-    pub fn in_memory() -> Self {
-        Self::new(RunnerConfig {
-            timeout: None,
-            ..RunnerConfig::default()
-        })
-    }
-
-    /// Cells that exhausted their retries, with the last error each.
-    #[must_use]
-    pub fn failures(&self) -> &[(String, RunError)] {
-        &self.failures
-    }
-
-    /// Cells actually executed (not loaded from checkpoints).
-    #[must_use]
-    pub fn cells_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Cells satisfied from checkpoints.
-    #[must_use]
-    pub fn cells_resumed(&self) -> u64 {
-        self.resumed
-    }
-
-    /// The checkpoint file a cell key maps to, if persistence is on.
-    #[must_use]
-    pub fn checkpoint_path(&self, key: &str) -> Option<PathBuf> {
-        checkpoint_file(&self.cfg, key)
-    }
-
-    /// The failure-marker file a cell key maps to.
-    #[must_use]
-    pub fn failed_path(&self, key: &str) -> Option<PathBuf> {
-        failed_file(&self.cfg, key)
-    }
-
-    /// The mid-run (partial) checkpoint file a cell key maps to.
-    #[must_use]
-    pub fn partial_path(&self, key: &str) -> Option<PathBuf> {
-        partial_file(&self.cfg, key)
-    }
-
-    /// Watchdog-abandoned workers still running right now. Joins (and
-    /// forgets) any that have finished since the last check.
-    pub fn zombie_count(&mut self) -> usize {
-        reap_zombie_list(&self.zombies)
-    }
-
-    /// Runs one sweep cell.
-    ///
-    /// With resume enabled and a checkpoint present, returns the
-    /// checkpointed value without executing `work`. Otherwise runs
-    /// `work` on a worker thread under `catch_unwind` and the
-    /// configured watchdog, retrying with exponential backoff up to
-    /// the retry budget. Success is checkpointed; exhaustion writes a
-    /// `<key>.failed.json` marker, records the failure, and returns
-    /// the final error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`RunError`] when every attempt failed.
-    pub fn run_cell<T, F>(&mut self, key: &str, work: F) -> Result<T, RunError>
-    where
-        T: Serialize + DeserializeOwned + Send + 'static,
-        F: Fn() -> T + Send + Sync + 'static,
-    {
-        self.run_cell_resumable(key, move |_| work())
-    }
-
-    /// Runs one sweep cell whose work can checkpoint mid-run.
-    ///
-    /// Like [`run_cell`](Self::run_cell), but `work` receives a
-    /// [`CheckpointCell`] it may [`load`](CheckpointCell::load) on
-    /// entry and [`store`](CheckpointCell::store) periodically. If an
-    /// attempt dies (panic, watchdog timeout) the *retry* — in the same
-    /// process or a later `--resume` run — picks up from the last
-    /// stored state rather than from scratch. The partial checkpoint is
-    /// cleared once the cell's final result is persisted, and survives
-    /// a recorded failure so the next resume continues mid-cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`RunError`] when every attempt failed.
-    pub fn run_cell_resumable<T, F>(&mut self, key: &str, work: F) -> Result<T, RunError>
-    where
-        T: Serialize + DeserializeOwned + Send + 'static,
-        F: Fn(&CheckpointCell) -> T + Send + Sync + 'static,
-    {
-        self.run_cell_report(key, work).outcome
-    }
-
-    /// Like [`run_cell_resumable`](Self::run_cell_resumable) but
-    /// returns the full [`CellReport`], exposing the resume/attempt
-    /// accounting a distributed worker needs (did this cell continue
-    /// from a dead peer's orphaned partial checkpoint?) alongside the
-    /// outcome.
-    pub fn run_cell_report<T, F>(&mut self, key: &str, work: F) -> CellReport<T>
-    where
-        T: Serialize + DeserializeOwned + Send + 'static,
-        F: Fn(&CheckpointCell) -> T + Send + Sync + 'static,
-    {
-        let report = execute_cell(&self.cfg, &self.zombies, key, Arc::new(work) as WorkFn<T>);
-        self.executed += u64::from(report.attempts);
-        if report.resumed {
-            self.resumed += 1;
-        }
-        if let Err(e) = &report.outcome {
-            self.failures.push((report.key.clone(), e.clone()));
-        }
-        report
-    }
-}
-
 /// A sweep cell prepared for the [`Scheduler`]: a key plus the work
 /// function, submitted in canonical order.
 pub struct CellSpec<T> {
     key: String,
-    work: WorkFn<T>,
+    work: Arc<dyn Fn(&CheckpointCell) -> T + Send + Sync>,
 }
 
 impl<T> CellSpec<T> {
-    /// Packages a cell. `work` receives the cell's [`CheckpointCell`]
-    /// exactly as in [`Runner::run_cell_resumable`].
+    /// Packages a cell. `work` receives the cell's [`CheckpointCell`],
+    /// which it may [`load`](CheckpointCell::load) on entry and
+    /// [`store`](CheckpointCell::store) periodically: an attempt that
+    /// dies (panic, watchdog, process kill) leaves its last stored
+    /// state for the retry — in the same process or a later
+    /// `--resume` run — to continue from.
     #[must_use]
     pub fn new<F>(key: impl Into<String>, work: F) -> Self
     where
@@ -1011,7 +853,7 @@ impl<T> std::fmt::Debug for BatchSpec<T> {
 /// Isolation + parallelism policy for a [`Scheduler`].
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Per-cell isolation and checkpointing (shared with [`Runner`]).
+    /// Per-cell isolation and checkpointing.
     pub runner: RunnerConfig,
     /// Worker threads. `0` means [`default_jobs`] (every core).
     pub jobs: usize,
@@ -1094,13 +936,14 @@ impl<T> SweepReport<T> {
     }
 }
 
-/// Bounded-concurrency parallel sweep scheduler.
+/// The cell engine's front end: a bounded-concurrency sweep
+/// scheduler.
 ///
-/// Fans a canonical list of [`CellSpec`]s out across
-/// [`jobs`](Self::jobs) coordinator threads pulling from a shared
-/// atomic work queue. Each coordinator runs its claimed cell through
-/// the same engine as [`Runner`] — per-cell watchdog, panic isolation
-/// via a separate attempt thread, bounded retry with backoff, final
+/// Maps the cell engine over a canonical list of [`CellSpec`]s or
+/// [`BatchSpec`] groups with [`par_map_ordered`] on up to
+/// [`jobs`](Self::jobs) threads (inline at one job). Each group runs
+/// through one engine — per-cell watchdog, panic isolation via a
+/// separate [`run_attempt`] thread, bounded retry with backoff, final
 /// and mid-run ([`CheckpointCell`]) checkpoints — so `--jobs N` never
 /// changes failure semantics, only wall-clock time.
 ///
@@ -1114,6 +957,8 @@ impl<T> SweepReport<T> {
 /// Under that contract the merged [`SweepReport`] — and anything
 /// serialized from it except [`CellTiming::wall_s`] — is byte-stable
 /// across `jobs = 1..=N` and across mid-sweep kills + resumes.
+///
+/// [`par_map_ordered`]: crate::common::par_map_ordered
 #[derive(Debug)]
 pub struct Scheduler {
     cfg: SchedulerConfig,
@@ -1126,7 +971,7 @@ impl Scheduler {
     pub fn new(cfg: SchedulerConfig) -> Self {
         Self {
             cfg,
-            zombies: Arc::new(Mutex::new(Vec::new())),
+            zombies: Zombies::default(),
         }
     }
 
@@ -1148,43 +993,21 @@ impl Scheduler {
     }
 
     /// Runs every cell and returns the deterministically merged
-    /// report. Blocks until all coordinator threads have drained the
-    /// queue and joined; only watchdog-abandoned attempt threads can
-    /// outlive this call (tracked via [`zombie_count`](Self::zombie_count)).
+    /// report. Blocks until every cell has a terminal outcome; only
+    /// watchdog-abandoned attempt threads can outlive this call
+    /// (tracked via [`zombie_count`](Self::zombie_count)).
     pub fn run_cells<T>(&mut self, cells: Vec<CellSpec<T>>) -> SweepReport<T>
     where
         T: Serialize + DeserializeOwned + Send + 'static,
     {
-        let n = cells.len();
-        let workers = self.jobs().clamp(1, n.max(1));
-        let slots: Vec<Mutex<Option<CellReport<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let cfg = &self.cfg.runner;
-        let (cells_ref, slots_ref, next_ref) = (&cells, &slots, &next);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                let zombies = Arc::clone(&self.zombies);
-                s.spawn(move || loop {
-                    let i = next_ref.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    let spec = &cells_ref[i];
-                    let report = execute_cell(cfg, &zombies, &spec.key, Arc::clone(&spec.work));
-                    *slots_ref[i].lock().expect("result slot lock") = Some(report);
-                });
-            }
-        });
-        SweepReport {
-            cells: slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("result slot lock")
-                        .expect("every submitted cell reports exactly once")
-                })
-                .collect(),
-        }
+        // A cell is a one-member batch: one engine for both.
+        let batches = cells
+            .into_iter()
+            .map(|CellSpec { key, work }| {
+                BatchSpec::new(vec![key], move |_, members| vec![work(&members[0])])
+            })
+            .collect();
+        self.run_batches(batches)
     }
 
     /// Runs every batch group and returns the deterministically merged
@@ -1198,35 +1021,12 @@ impl Scheduler {
     where
         T: Serialize + DeserializeOwned + Send + 'static,
     {
-        let n = batches.len();
-        let workers = self.jobs().clamp(1, n.max(1));
-        let slots: Vec<Mutex<Option<Vec<CellReport<T>>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let cfg = &self.cfg.runner;
-        let (batches_ref, slots_ref, next_ref) = (&batches, &slots, &next);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                let zombies = Arc::clone(&self.zombies);
-                s.spawn(move || loop {
-                    let i = next_ref.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    let reports = execute_batch(cfg, &zombies, &batches_ref[i]);
-                    *slots_ref[i].lock().expect("result slot lock") = Some(reports);
-                });
-            }
+        let (cfg, zombies) = (&self.cfg.runner, &self.zombies);
+        let groups = crate::common::par_map_ordered(self.jobs(), &batches, |batch| {
+            execute_batch(cfg, zombies, batch)
         });
         SweepReport {
-            cells: slots
-                .into_iter()
-                .flat_map(|m| {
-                    m.into_inner()
-                        .expect("result slot lock")
-                        .expect("every submitted batch reports exactly once")
-                })
-                .collect(),
+            cells: groups.into_iter().flatten().collect(),
         }
     }
 }
@@ -1333,10 +1133,15 @@ mod tests {
         assert!(e.to_string().contains("ROB overflow"));
     }
 
+    /// A one-job scheduler: cells run one at a time, in order.
+    fn one_job(runner: RunnerConfig) -> Scheduler {
+        Scheduler::new(SchedulerConfig { runner, jobs: 1 })
+    }
+
     #[test]
     fn in_memory_runner_isolates_panics_and_retries() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let mut r = Runner::new(RunnerConfig {
+        use std::sync::atomic::AtomicU32;
+        let mut s = one_job(RunnerConfig {
             timeout: None,
             retries: 2,
             backoff: Duration::from_millis(1),
@@ -1345,70 +1150,80 @@ mod tests {
         let calls = Arc::new(AtomicU32::new(0));
         let c = Arc::clone(&calls);
         // Fails twice, then succeeds on the third attempt.
-        let out = r.run_cell("flaky", move || {
+        let report = s.run_cells(vec![CellSpec::new("flaky", move |_| {
             if c.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient");
             }
             7u32
-        });
-        assert_eq!(out.unwrap(), 7);
+        })]);
+        assert_eq!(*report.cells[0].outcome.as_ref().unwrap(), 7);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
-        assert!(r.failures().is_empty());
-        assert_eq!(r.cells_executed(), 3);
+        assert!(report.failures().is_empty());
+        assert_eq!(report.executed(), 3);
     }
 
     #[test]
     fn exhausted_retries_record_the_failure() {
-        let mut r = Runner::new(RunnerConfig {
+        let mut s = one_job(RunnerConfig {
             timeout: None,
             retries: 1,
             backoff: Duration::from_millis(1),
             ..RunnerConfig::default()
         });
-        let out: Result<u32, RunError> = r.run_cell("doomed", || panic!("always"));
-        let err = out.unwrap_err();
+        let report = s.run_cells(vec![CellSpec::new("doomed", |_| -> u32 {
+            panic!("always")
+        })]);
+        let err = report.cells[0].outcome.as_ref().unwrap_err();
         assert_eq!(
-            err,
+            *err,
             RunError::Panic {
                 message: "always".to_owned()
             }
         );
-        assert_eq!(r.failures().len(), 1);
-        assert_eq!(r.failures()[0].0, "doomed");
+        assert_eq!(report.failures().len(), 1);
+        assert_eq!(report.failures()[0].0, "doomed");
     }
 
     #[test]
     fn watchdog_times_out_hung_cells() {
-        let mut r = Runner::new(RunnerConfig {
+        let mut s = one_job(RunnerConfig {
             timeout: Some(Duration::from_millis(50)),
             retries: 0,
             backoff: Duration::from_millis(1),
             ..RunnerConfig::default()
         });
-        let out: Result<u32, RunError> = r.run_cell("hung", || loop {
-            thread::sleep(Duration::from_millis(20));
-        });
-        assert!(matches!(out.unwrap_err(), RunError::Timeout { .. }));
+        let report = s.run_cells(vec![CellSpec::new("hung", |_| -> u32 {
+            loop {
+                thread::sleep(Duration::from_millis(20));
+            }
+        })]);
+        assert!(matches!(
+            report.cells[0].outcome,
+            Err(RunError::Timeout { .. })
+        ));
     }
 
     #[test]
     fn timed_out_workers_are_reaped_once_they_finish() {
-        let mut r = Runner::new(RunnerConfig {
+        let mut s = one_job(RunnerConfig {
             timeout: Some(Duration::from_millis(20)),
             retries: 0,
             backoff: Duration::from_millis(1),
             ..RunnerConfig::default()
         });
         // Outlives its watchdog but terminates on its own.
-        let out: Result<u32, RunError> = r.run_cell("slow", || {
+        let report = s.run_cells(vec![CellSpec::new("slow", |_| {
             thread::sleep(Duration::from_millis(120));
-            1
-        });
-        assert!(matches!(out.unwrap_err(), RunError::Timeout { .. }));
-        assert_eq!(r.zombie_count(), 1, "abandoned worker is tracked");
+            1u32
+        })]);
+        assert!(matches!(
+            report.cells[0].outcome,
+            Err(RunError::Timeout { .. })
+        ));
+        assert_eq!(s.zombie_count(), 1, "abandoned worker is tracked");
         // Once the stray worker exits, the next check joins it.
         thread::sleep(Duration::from_millis(250));
-        assert_eq!(r.zombie_count(), 0, "finished worker is reaped");
+        assert_eq!(s.zombie_count(), 0, "finished worker is reaped");
     }
 
     fn fresh_dir(tag: &str) -> PathBuf {
@@ -1420,9 +1235,9 @@ mod tests {
 
     #[test]
     fn retry_resumes_from_the_mid_cell_checkpoint() {
-        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::atomic::AtomicU32;
         let dir = fresh_dir("midcell");
-        let mut r = Runner::new(RunnerConfig {
+        let mut s = one_job(RunnerConfig {
             retries: 1,
             backoff: Duration::from_millis(1),
             timeout: None,
@@ -1430,10 +1245,10 @@ mod tests {
         });
         let steps = Arc::new(AtomicU32::new(0));
         let attempts = Arc::new(AtomicU32::new(0));
-        let (s, a) = (Arc::clone(&steps), Arc::clone(&attempts));
+        let (st, a) = (Arc::clone(&steps), Arc::clone(&attempts));
         // Counts to 10 in checkpointed steps; the first attempt dies
         // at 5. The retry must start from 5, not 0.
-        let out = r.run_cell_resumable("counter", move |cell| {
+        let report = s.run_cells(vec![CellSpec::new("counter", move |cell| {
             let first = a.fetch_add(1, Ordering::SeqCst) == 0;
             // JSON round-trips non-negative integers as `Int`.
             let mut n = match cell.load() {
@@ -1443,23 +1258,23 @@ mod tests {
             };
             while n < 10 {
                 n += 1;
-                s.fetch_add(1, Ordering::SeqCst);
+                st.fetch_add(1, Ordering::SeqCst);
                 cell.store(|| Value::UInt(n));
                 if first && n == 5 {
                     panic!("injected mid-cell death");
                 }
             }
             n
-        });
-        assert_eq!(out.unwrap(), 10);
+        })]);
+        assert_eq!(*report.cells[0].outcome.as_ref().unwrap(), 10);
         assert_eq!(
             steps.load(Ordering::SeqCst),
             10,
             "5 steps before the death + 5 after resuming, no redone work"
         );
         // Success cleared the partial checkpoint alongside the final one.
-        assert!(!r.partial_path("counter").unwrap().exists());
-        assert!(r.checkpoint_path("counter").unwrap().is_file());
+        assert!(!partial_path(&dir, "counter").exists());
+        assert!(dir.join("counter.json").is_file());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1467,20 +1282,20 @@ mod tests {
     fn corrupt_partial_checkpoint_falls_back_to_scratch() {
         let dir = fresh_dir("corrupt-partial");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut r = Runner::new(RunnerConfig {
+        let mut s = one_job(RunnerConfig {
             retries: 0,
             timeout: None,
             ..RunnerConfig::resuming(&dir)
         });
         // Plant garbage where the partial checkpoint would live.
-        std::fs::write(r.partial_path("cell").unwrap(), b"PSNAPxxx not a snapshot").unwrap();
-        let out = r.run_cell_resumable("cell", |cell| {
+        std::fs::write(partial_path(&dir, "cell"), b"PSNAPxxx not a snapshot").unwrap();
+        let report = s.run_cells(vec![CellSpec::new("cell", |cell| {
             // The corrupt file must not surface as state.
             assert!(cell.load().is_none(), "corrupt partial must be discarded");
             42u32
-        });
-        assert_eq!(out.unwrap(), 42);
-        assert!(!r.partial_path("cell").unwrap().exists());
+        })]);
+        assert_eq!(*report.cells[0].outcome.as_ref().unwrap(), 42);
+        assert!(!partial_path(&dir, "cell").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1490,20 +1305,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // resume = false: a leftover partial from some earlier sweep
         // must be cleared, not consumed.
-        let mut r = Runner::new(RunnerConfig {
+        let mut s = one_job(RunnerConfig {
             checkpoint_dir: Some(dir.clone()),
             resume: false,
             retries: 0,
             timeout: None,
             ..RunnerConfig::default()
         });
-        snapfile::write(&r.partial_path("cell").unwrap(), &Value::UInt(999)).unwrap();
-        let out = r.run_cell_resumable("cell", |cell| match cell.load() {
+        snapfile::write(&partial_path(&dir, "cell"), &Value::UInt(999)).unwrap();
+        let report = s.run_cells(vec![CellSpec::new("cell", |cell| match cell.load() {
             Some(Value::UInt(n)) => n,
             Some(Value::Int(n)) if n >= 0 => n as u64,
             _ => 0u64,
-        });
-        assert_eq!(out.unwrap(), 0, "stale partial state must not leak in");
+        })]);
+        assert_eq!(
+            *report.cells[0].outcome.as_ref().unwrap(),
+            0,
+            "stale partial state must not leak in"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -309,7 +309,7 @@ fn parse_number(s: &str, lineno: u32) -> Result<(Value, &str), TomlError> {
 }
 
 /// Renders a value as a single-line TOML value (the serialization
-/// counterpart of [`parse_value`]; used by the spec's canonical
+/// counterpart of `parse_value`; used by the spec's canonical
 /// writer).
 #[must_use]
 pub fn render_value(v: &Value) -> String {

@@ -1,37 +1,66 @@
 //! `--help` and `-h` print the usage to stdout and exit 0; an unknown
-//! flag is a usage error (exit 2) that prints the usage to stderr.
+//! flag or a refused value is a usage error (exit 2) that names the
+//! flag and prints the usage to stderr.
 
 use perconf_experiments::exitcode;
 use std::process::{Command, Output};
 
-fn run(bin: &str, arg: &str) -> Output {
+fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
-        .arg(arg)
+        .args(args)
         .output()
         .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"))
 }
 
 #[test]
 fn help_succeeds_and_unknown_flags_are_usage_errors() {
-    for bin in [
-        env!("CARGO_BIN_EXE_repro"),
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let bins = [
+        repro,
         env!("CARGO_BIN_EXE_sim"),
         env!("CARGO_BIN_EXE_validate"),
-    ] {
+    ];
+    for bin in bins {
         for flag in ["--help", "-h"] {
-            let out = run(bin, flag);
+            let out = run(bin, &[flag]);
             assert_eq!(out.status.code(), Some(0), "{bin} {flag}");
             let stdout = String::from_utf8_lossy(&out.stdout);
             assert!(stdout.starts_with("usage: "), "{bin} {flag}: {stdout}");
         }
-        let out = run(bin, "--no-such-flag");
+    }
+    // (binary, arguments, the flag the error must name)
+    let mut usage_errors: Vec<(&str, &[&str], &str)> = bins
+        .iter()
+        .map(|&bin| (bin, &["--no-such-flag"][..], "--no-such-flag"))
+        .collect();
+    // A zero watchdog would time out every attempt at once.
+    let queue = std::env::temp_dir().join(format!("perconf-cli-queue-{}", std::process::id()));
+    let queue = queue.to_str().expect("UTF-8 temp dir");
+    let zero_timeout = [
+        "sweep",
+        "--grid",
+        "small",
+        "--tiny",
+        "--seed",
+        "11",
+        "--workers",
+        "1",
+        "--queue",
+        queue,
+        "--cell-timeout",
+        "0",
+    ];
+    usage_errors.push((repro, &zero_timeout, "--cell-timeout"));
+    for (bin, args, flag) in usage_errors {
+        let out = run(bin, args);
         assert_eq!(
             out.status.code(),
             Some(i32::from(exitcode::USAGE)),
-            "{bin} --no-such-flag"
+            "{bin} {args:?}"
         );
         assert!(out.stdout.is_empty(), "{bin}: usage errors go to stderr");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: "), "{bin}: {stderr}");
+        assert!(stderr.contains(flag), "{bin} {args:?}: {stderr}");
     }
 }

@@ -2,7 +2,9 @@
 //! not lose finished cells, and a resumed sweep must re-execute only
 //! the cell that failed.
 
-use perconf_experiments::runner::{RunError, Runner, RunnerConfig};
+use perconf_experiments::runner::{
+    CellSpec, RunError, RunnerConfig, Scheduler, SchedulerConfig, SweepReport,
+};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,28 +20,34 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// One pass over the four cells on a one-job scheduler.
 fn sweep(
     dir: &std::path::Path,
     poison: Option<&str>,
     calls: &Arc<AtomicU32>,
-) -> (Runner, Vec<Result<String, RunError>>) {
-    let mut runner = Runner::new(RunnerConfig {
-        retries: 0,
-        backoff: Duration::from_millis(1),
-        ..RunnerConfig::resuming(dir)
+) -> SweepReport<String> {
+    let mut scheduler = Scheduler::new(SchedulerConfig {
+        runner: RunnerConfig {
+            retries: 0,
+            backoff: Duration::from_millis(1),
+            ..RunnerConfig::resuming(dir)
+        },
+        jobs: 1,
     });
-    let mut results = Vec::new();
-    for cell in CELLS {
-        let c = Arc::clone(calls);
-        let poisoned = poison == Some(cell);
-        let name = cell.to_owned();
-        results.push(runner.run_cell(cell, move || {
-            c.fetch_add(1, Ordering::SeqCst);
-            assert!(!poisoned, "injected failure in {name}");
-            format!("result of {name}")
-        }));
-    }
-    (runner, results)
+    let cells = CELLS
+        .iter()
+        .map(|&cell| {
+            let c = Arc::clone(calls);
+            let poisoned = poison == Some(cell);
+            let name = cell.to_owned();
+            CellSpec::new(cell, move |_| {
+                c.fetch_add(1, Ordering::SeqCst);
+                assert!(!poisoned, "injected failure in {name}");
+                format!("result of {name}")
+            })
+        })
+        .collect();
+    scheduler.run_cells(cells)
 }
 
 #[test]
@@ -49,45 +57,48 @@ fn panicking_cell_fails_alone_and_resume_reruns_only_it() {
     // First pass: "gamma" panics mid-sweep. The other three cells
     // complete and are checkpointed; the sweep itself survives.
     let calls = Arc::new(AtomicU32::new(0));
-    let (runner, results) = sweep(&dir, Some("gamma"), &calls);
+    let report = sweep(&dir, Some("gamma"), &calls);
     assert_eq!(calls.load(Ordering::SeqCst), 4, "every cell executed");
-    assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 3);
-    assert!(matches!(results[2], Err(RunError::Panic { .. })));
-    assert_eq!(runner.failures().len(), 1);
-    assert_eq!(runner.failures()[0].0, "gamma");
+    assert_eq!(report.cells.iter().filter(|c| c.outcome.is_ok()).count(), 3);
+    assert!(matches!(
+        report.cells[2].outcome,
+        Err(RunError::Panic { .. })
+    ));
+    assert_eq!(report.failures().len(), 1);
+    assert_eq!(report.failures()[0].0, "gamma");
     for cell in ["alpha", "beta", "delta"] {
         assert!(
-            runner.checkpoint_path(cell).unwrap().is_file(),
+            dir.join(format!("{cell}.json")).is_file(),
             "{cell} should be checkpointed"
         );
     }
-    assert!(!runner.checkpoint_path("gamma").unwrap().is_file());
+    assert!(!dir.join("gamma.json").is_file());
     assert!(
-        runner.failed_path("gamma").unwrap().is_file(),
+        dir.join("gamma.failed.json").is_file(),
         "failed cell leaves a marker"
     );
 
     // Second pass with the panic gone: only the failed cell runs, the
     // rest are loaded from their checkpoints, and its marker clears.
     let calls = Arc::new(AtomicU32::new(0));
-    let (runner, results) = sweep(&dir, None, &calls);
+    let report = sweep(&dir, None, &calls);
     assert_eq!(
         calls.load(Ordering::SeqCst),
         1,
         "resume must re-execute only the failed cell"
     );
-    assert!(results.iter().all(|r| r.is_ok()));
-    assert_eq!(results[2].as_ref().unwrap(), "result of gamma");
-    assert_eq!(runner.cells_resumed(), 3);
-    assert_eq!(runner.cells_executed(), 1);
-    assert!(runner.failures().is_empty());
-    assert!(!runner.failed_path("gamma").unwrap().is_file());
+    assert!(report.cells.iter().all(|c| c.outcome.is_ok()));
+    assert_eq!(report.cells[2].outcome.as_ref().unwrap(), "result of gamma");
+    assert_eq!(report.resumed(), 3);
+    assert_eq!(report.executed(), 1);
+    assert!(report.failures().is_empty());
+    assert!(!dir.join("gamma.failed.json").is_file());
 
     // Third pass: nothing left to do.
     let calls = Arc::new(AtomicU32::new(0));
-    let (runner, _) = sweep(&dir, None, &calls);
+    let report = sweep(&dir, None, &calls);
     assert_eq!(calls.load(Ordering::SeqCst), 0);
-    assert_eq!(runner.cells_resumed(), 4);
+    assert_eq!(report.resumed(), 4);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -97,16 +108,15 @@ fn corrupt_checkpoint_is_recomputed_not_trusted() {
     let dir = fresh_dir("corrupt");
 
     let calls = Arc::new(AtomicU32::new(0));
-    let (runner, _) = sweep(&dir, None, &calls);
+    sweep(&dir, None, &calls);
     assert_eq!(calls.load(Ordering::SeqCst), 4);
-    let beta = runner.checkpoint_path("beta").unwrap();
-    std::fs::write(&beta, "{ not json").unwrap();
+    std::fs::write(dir.join("beta.json"), "{ not json").unwrap();
 
     let calls = Arc::new(AtomicU32::new(0));
-    let (runner, results) = sweep(&dir, None, &calls);
+    let report = sweep(&dir, None, &calls);
     assert_eq!(calls.load(Ordering::SeqCst), 1, "only beta recomputes");
-    assert_eq!(results[1].as_ref().unwrap(), "result of beta");
-    assert_eq!(runner.cells_resumed(), 3);
+    assert_eq!(report.cells[1].outcome.as_ref().unwrap(), "result of beta");
+    assert_eq!(report.resumed(), 3);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,16 +9,29 @@
 //! as `Truncated`, not misdiagnosed as bit-rot (`DigestMismatch`),
 //! and the affected cell must recompute cleanly either way.
 
-use perconf_experiments::runner::{degraded_count, Runner, RunnerConfig};
+use perconf_experiments::runner::{
+    degraded_count, partial_path, CellReport, CellSpec, CheckpointCell, RunnerConfig, Scheduler,
+    SchedulerConfig,
+};
 use perconf_experiments::snapfile::{self, SnapfileError};
 use serde::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// The degraded-input count is process-wide: the two tests that
 /// assert on it hold this lock so one's discarded checkpoint never
 /// lands inside the other's before/after window.
 static DEGRADED_COUNTER: Mutex<()> = Mutex::new(());
+
+/// Runs one cell on a one-job scheduler resuming from `dir`.
+fn run_one(dir: &Path, work: fn(&CheckpointCell) -> u64) -> CellReport<u64> {
+    let mut scheduler = Scheduler::new(SchedulerConfig {
+        runner: RunnerConfig::resuming(dir),
+        jobs: 1,
+    });
+    let mut report = scheduler.run_cells(vec![CellSpec::new("cell", work)]);
+    report.cells.pop().expect("one cell in, one report out")
+}
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("perconf-trunc-{tag}-{}", std::process::id()));
@@ -31,9 +44,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn kill_between_temp_write_and_rename_recomputes_cleanly() {
     let _counter = DEGRADED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = fresh_dir("tmp-orphan");
-    let cfg = RunnerConfig::resuming(&dir);
-    let mut runner = Runner::new(cfg);
-    let partial = runner.partial_path("cell").unwrap();
+    let partial = partial_path(&dir, "cell");
 
     // A process died after fully writing the temp file but before the
     // rename: the temp is complete and valid, the final name absent.
@@ -46,7 +57,7 @@ fn kill_between_temp_write_and_rename_recomputes_cleanly() {
     // name means no mid-cell resume and, crucially, no degradation:
     // an interrupted write that never landed is not corruption.
     let degraded_before = degraded_count();
-    let report = runner.run_cell_report("cell", |chk| {
+    let report = run_one(&dir, |chk| {
         assert!(
             chk.load().is_none(),
             "an orphaned temp file must not be loadable as a checkpoint"
@@ -73,9 +84,7 @@ fn kill_between_temp_write_and_rename_recomputes_cleanly() {
 fn torn_final_name_is_reported_as_truncation_not_corruption() {
     let _counter = DEGRADED_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = fresh_dir("torn-final");
-    let cfg = RunnerConfig::resuming(&dir);
-    let mut runner = Runner::new(cfg);
-    let partial = runner.partial_path("cell").unwrap();
+    let partial = partial_path(&dir, "cell");
 
     // The final name holds a prefix of a checkpoint (torn non-atomic
     // copy): header intact, payload cut short.
@@ -96,7 +105,7 @@ fn torn_final_name_is_reported_as_truncation_not_corruption() {
     // The runner discards the torn checkpoint (flagging degraded
     // input), recomputes the cell from scratch, and clears the file.
     let degraded_before = degraded_count();
-    let report = runner.run_cell_report("cell", |chk| {
+    let report = run_one(&dir, |chk| {
         assert!(
             chk.load().is_none(),
             "a torn checkpoint must be discarded, not resumed"

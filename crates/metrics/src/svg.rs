@@ -2,7 +2,7 @@
 //! can emit actual plots (no plotting dependency needed offline).
 //!
 //! Two chart shapes cover the paper: [`density_svg`] renders a
-//! [`DensityPair`](crate::DensityPair) as the dual-scale line plot of
+//! [`DensityPair`] as the dual-scale line plot of
 //! Figures 4–7 (CB and MB each normalised to their own maximum, as in
 //! the paper), and [`bars_svg`] renders the grouped per-benchmark bars
 //! of Figures 8–9.

@@ -1400,7 +1400,7 @@ impl Simulation {
 /// produces the same state digests as an uninterrupted run.
 ///
 /// In-flight uops are serialized in *queue order* (front-end then ROB,
-/// oldest first) as [`Inflight`] records, so snapshot bytes — and
+/// oldest first) as `Inflight` records, so snapshot bytes — and
 /// therefore [`state_digest`](Snapshot::state_digest) — are completely
 /// independent of how the arena happened to assign slots.
 ///

@@ -95,6 +95,15 @@ fn parse_num<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
         .map_err(|_| format!("{name} wants a number, got `{raw}`"))
 }
 
+/// Parses a watchdog in whole seconds. Zero is refused: every attempt
+/// would time out at once.
+fn parse_secs(name: &str, raw: &str) -> Result<Duration, String> {
+    match parse_num(name, raw)? {
+        0 => Err(format!("{name} must be at least 1")),
+        secs => Ok(Duration::from_secs(secs)),
+    }
+}
+
 // ---------------------------------------------------------------- run
 
 fn cmd_run(argv: &[String]) -> u8 {
@@ -119,14 +128,11 @@ fn cmd_run(argv: &[String]) -> u8 {
                         parse_num("--restarts", &take_value(argv, &mut i)?)?;
                 }
                 "--watchdog" => {
-                    cfg.supervisor.watchdog =
-                        Duration::from_secs(parse_num("--watchdog", &take_value(argv, &mut i)?)?);
+                    cfg.supervisor.watchdog = parse_secs("--watchdog", &take_value(argv, &mut i)?)?;
                 }
                 "--cell-timeout" => {
-                    cfg.supervisor.cell_timeout = Some(Duration::from_secs(parse_num(
-                        "--cell-timeout",
-                        &take_value(argv, &mut i)?,
-                    )?));
+                    cfg.supervisor.cell_timeout =
+                        Some(parse_secs("--cell-timeout", &take_value(argv, &mut i)?)?);
                 }
                 other => return Err(format!("unknown flag `{other}` for run")),
             }

@@ -9,9 +9,10 @@
 //! the existing `runner::Scheduler` wrapped in the full robustness
 //! stack:
 //!
-//! - panic isolation (`catch_unwind` around every actor attempt, on
-//!   top of the runner's own per-cell isolation);
-//! - a per-experiment watchdog timeout on each attempt;
+//! - panic isolation and a per-experiment watchdog on every actor
+//!   attempt, through the same attempt primitive
+//!   (`runner::run_attempt`) that isolates each cell; an incarnation
+//!   the watchdog abandons is joined once it finishes;
 //! - bounded retries with exponential backoff and deterministic
 //!   key-derived jitter (the runner's `RunnerConfig::jitter`);
 //! - a restart policy: a dead or hung actor is restarted with

@@ -6,13 +6,16 @@
 //! ```text
 //! Supervisor (owns cache, counters, queue)
 //! └── actor-runner thread × N      (pool, picks queued experiments)
-//!     └── attempt thread           (catch_unwind + watchdog, per try)
+//!     └── runner::run_attempt      (own thread, catch_unwind + watchdog, per try)
 //!         └── runner::Scheduler    (per-cell isolation, checkpoints)
 //! ```
 //!
-//! An attempt that panics or outlives the per-experiment watchdog is
-//! counted and retried with resume semantics up to
-//! [`SupervisorConfig::restart_budget`] restarts. After the budget is
+//! Each incarnation runs through the runner's attempt primitive, the
+//! same one every sweep cell runs through. An attempt that panics or
+//! outlives the per-experiment watchdog is counted and retried with
+//! resume semantics up to [`SupervisorConfig::restart_budget`]
+//! restarts. An abandoned incarnation is parked on the supervisor's
+//! zombie list and joined once it finishes. After the budget is
 //! spent the experiment is finalised *degraded*: a table assembled
 //! from cache entries and checkpoints, with unrecoverable cells in
 //! its `failed` list — never silently dropped.
@@ -25,13 +28,12 @@
 use crate::actor::{self, ActorConfig, ActorOutcome};
 use crate::api::ExperimentSpec;
 use crate::cache::{CacheConfig, CellCache};
-use perconf_experiments::runner;
+use perconf_experiments::runner::{self, RunError};
 use perconf_obs::{CounterSnapshot, Counters};
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -176,6 +178,8 @@ struct Shared {
     /// Set on shutdown: stop accepting, workers exit once the queue
     /// is empty.
     draining: AtomicBool,
+    /// Incarnations abandoned by the experiment watchdog.
+    zombies: runner::Zombies,
 }
 
 /// Handle to the running supervision tree.
@@ -215,6 +219,7 @@ impl Supervisor {
             }),
             work: Condvar::new(),
             draining: AtomicBool::new(false),
+            zombies: runner::Zombies::default(),
             cfg,
         });
         let mut sup = Self {
@@ -565,51 +570,31 @@ fn run_supervised(sh: &Arc<Shared>, id: &str) {
                 e.restarts = incarnation;
             }
         }
-        // Each incarnation gets its own channel: a zombie attempt
-        // finishing after its watchdog fired sends into a channel
-        // nobody reads, and can never corrupt a newer incarnation.
-        let (tx, rx) = mpsc::channel();
         let sh2 = Arc::clone(sh);
-        let attempt = thread::Builder::new()
-            .name(format!("actor-{id}-i{incarnation}"))
-            .spawn(move || {
-                let out =
-                    catch_unwind(AssertUnwindSafe(|| actor::run_experiment(&cfg, &sh2.cache)));
-                let _ = tx.send(out);
-            });
-        let Ok(attempt) = attempt else {
-            continue;
-        };
-        match rx.recv_timeout(sh.cfg.watchdog) {
-            Ok(Ok(Ok(outcome))) => {
-                let _ = attempt.join();
+        let attempt = runner::run_attempt(Some(sh.cfg.watchdog), &sh.zombies, move || {
+            actor::run_experiment(&cfg, &sh2.cache)
+        });
+        match attempt {
+            Ok(Ok(outcome)) => {
                 finalize(sh, id, &outcome, outcome.failed.is_empty());
                 return;
             }
-            Ok(Ok(Err(reason))) => {
+            Ok(Err(reason)) => {
                 // Unresolvable spec: retrying cannot help.
-                let _ = attempt.join();
                 eprintln!("experiment {id}: {reason}");
                 finalize_failed(sh, id);
                 return;
             }
-            Ok(Err(panic_payload)) => {
-                let _ = attempt.join();
-                let msg = runner::panic_message(panic_payload.as_ref());
-                eprintln!("experiment {id} attempt {incarnation} panicked: {msg}");
-            }
-            Err(mpsc::RecvTimeoutError::Timeout | mpsc::RecvTimeoutError::Disconnected) => {
-                // Watchdog expiry. The attempt thread cannot be killed
-                // safely; abandon it (its cells keep checkpointing,
-                // and its late send lands in a dropped channel).
-                sh.counters
-                    .lock()
-                    .expect("counters mutex poisoned")
-                    .counter("serve", "watchdog_kills", 1);
-                eprintln!(
-                    "experiment {id} attempt {incarnation} outlived its {}s watchdog; abandoning",
-                    sh.cfg.watchdog.as_secs()
-                );
+            Err(e) => {
+                // A timed-out incarnation keeps running (its cells keep
+                // checkpointing) until it finishes and is reaped.
+                if matches!(e, RunError::Timeout { .. }) {
+                    sh.counters
+                        .lock()
+                        .expect("counters mutex poisoned")
+                        .counter("serve", "watchdog_kills", 1);
+                }
+                eprintln!("experiment {id} attempt {incarnation} {e}");
             }
         }
     }

@@ -71,6 +71,8 @@ impl BehaviorMix {
     /// mispredictions concentrate in a few notorious hot branches,
     /// and keeps the set of hard static sites small enough for
     /// PC-indexed estimator tables to learn.
+    ///
+    /// [`BehaviorClass::is_hard`]: crate::behavior::BehaviorClass::is_hard
     #[must_use]
     pub fn assign_specs(&self, masses: &[f64]) -> Vec<BehaviorSpec> {
         let grand_total: f64 = masses.iter().sum();
