@@ -9,11 +9,13 @@
 //! 9), writes the measurements to `--out` (default `BENCH_ci.json`,
 //! uploaded as a CI artifact) and compares every **`sim/` probe** —
 //! the plain, faults-wrapped, and counters-enabled cycle-loop paths —
-//! and every **`snapshot/` probe** — a deep machine's state rendered
-//! as checkpoint JSON, and parsed and restored — against the
-//! checked-in baseline (default `results/BENCH_baseline.json`). Exits
-//! 1 when any gated probe regresses more than 10%, and 2 on an unknown
-//! flag; `--help` prints the usage and exits 0.
+//! every **`snapshot/` probe** — a deep machine's state rendered as
+//! checkpoint JSON, and parsed and restored — and every **`trace/`
+//! probe** — one shared trace-level pass training four fault-wrapped
+//! pairs, as a batched fault sweep runs them — against the checked-in
+//! baseline (default `results/BENCH_baseline.json`). Exits 1 when any
+//! gated probe regresses more than 10%, and 2 on an unknown flag;
+//! `--help` prints the usage and exits 0.
 //!
 //! Raw wall-clock numbers are not comparable across machines, so every
 //! probe is *normalized* by a pure-CPU calibration loop measured in the
@@ -39,7 +41,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use perconf_bpred::Snapshot;
-use perconf_experiments::common::{controller, jrs, PredictorKind};
+use perconf_experiments::common::{controller, jrs, trace_eval_each, PredictorKind, TracePair};
 use perconf_pipeline::{PipelineConfig, Simulation};
 use serde::{Deserialize, Serialize, Value};
 use std::hint::black_box;
@@ -51,15 +53,16 @@ use std::time::Instant;
 const THRESHOLD: f64 = 0.10;
 
 /// The probe that must exist in every baseline; the gate additionally
-/// covers any other `sim/` or `snapshot/` probe present in both the run
-/// and the baseline (the faults-wrapped and counters-enabled cycle-loop
-/// paths, so the zero-overhead claims stay pinned as the layout
-/// changes, and the checkpoint encode/decode path).
+/// covers any other `sim/`, `snapshot/` or `trace/` probe present in
+/// both the run and the baseline (the faults-wrapped and
+/// counters-enabled cycle-loop paths, so the zero-overhead claims stay
+/// pinned as the layout changes, the checkpoint encode/decode path, and
+/// the shared trace-level pass).
 const GATED: &str = "sim/cycle-throughput-20k";
 
 /// Probes whose names start with one of these prefixes are gated when
 /// the baseline has them too.
-const GATED_PREFIXES: [&str; 2] = ["sim/", "snapshot/"];
+const GATED_PREFIXES: [&str; 3] = ["sim/", "snapshot/", "trace/"];
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Probe {
@@ -207,6 +210,36 @@ fn measure(runs: u32) -> Report {
         restored.restore_state(&state).expect("restore snapshot");
     };
 
+    // The shared trace-level pass of a batched fault sweep: four
+    // fault-wrapped (bimodal-gshare, perceptron) pairs, one per rate,
+    // trained by one generator pass over gcc.
+    let mut shared_pass_probe = || {
+        use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
+        let mut pairs: Vec<_> =
+            [0.0, 1e-4, 1e-3, 1e-2]
+                .iter()
+                .map(|&rate| {
+                    let cfg_p = FaultConfig {
+                        rate,
+                        history_rate: rate,
+                        seed: 0x11,
+                    };
+                    (
+                        FaultyPredictor::new(perconf_bpred::baseline_bimodal_gshare(), &cfg_p),
+                        FaultyEstimator::new(
+                            perconf_core::PerceptronCe::new(
+                                perconf_core::PerceptronCeConfig::default(),
+                            ),
+                            &FaultConfig::state_only(rate, 0x22),
+                        ),
+                    )
+                })
+                .collect();
+        let mut shared: Vec<TracePair<'_>> =
+            pairs.iter_mut().map(|(p, e)| (p as _, e as _)).collect();
+        black_box(trace_eval_each(&wl, &mut shared, 2_000, 8_000));
+    };
+
     // Untimed warm-up pass of everything.
     cal();
     sim_probe();
@@ -216,9 +249,10 @@ fn measure(runs: u32) -> Report {
     est_probe();
     save_probe();
     restore_probe();
+    shared_pass_probe();
 
     let mut cal_best = f64::INFINITY;
-    let mut best = [f64::INFINITY; 7];
+    let mut best = [f64::INFINITY; 8];
     for _ in 0..runs.max(1) {
         cal_best = cal_best.min(time_once(&mut cal));
         best[0] = best[0].min(time_once(&mut sim_probe));
@@ -228,6 +262,7 @@ fn measure(runs: u32) -> Report {
         best[4] = best[4].min(time_once(&mut est_probe));
         best[5] = best[5].min(time_once(&mut save_probe));
         best[6] = best[6].min(time_once(&mut restore_probe));
+        best[7] = best[7].min(time_once(&mut shared_pass_probe));
     }
     black_box(acc);
 
@@ -239,6 +274,7 @@ fn measure(runs: u32) -> Report {
         "estimator/perceptron-ce-10k",
         "snapshot/save-render-deep",
         "snapshot/parse-restore-deep",
+        "trace/shared-pass-4",
     ];
     Report {
         calibration_secs: cal_best,

@@ -51,8 +51,10 @@
 //! every core. Results are byte-identical at any job count — only
 //! wall-clock time changes. `--batch <n>` additionally interleaves up
 //! to `n` of the fault sweep's simulations through one cycle loop
-//! (`BatchSim`); like `--jobs` it is purely a throughput knob — output
-//! stays byte-identical for every width, including under `--resume`. `--timing <file>` writes the per-cell
+//! (`BatchSim`), and the group's cells that evaluate the same benchmark
+//! share one trace-level pass; like `--jobs` it is purely a throughput
+//! knob — output stays byte-identical for every width, including under
+//! `--resume`. `--timing <file>` writes the per-cell
 //! wall-time/retry report of the `faults` sweep as JSON (wall time is
 //! inherently nondeterministic, which is why it lives in its own file
 //! rather than in the diffable result output).
@@ -256,7 +258,9 @@ struct Args {
     workers: usize,
     /// Grid preset for `faults`/`sweep` (`--grid full|small`).
     grid: faults::Grid,
-    /// Pipeline-leg batch width for `faults` (1 = unbatched).
+    /// Batch width for `faults` (1 = unbatched): the members of a group
+    /// interleave their pipeline legs, and the members that evaluate
+    /// the same benchmark share one trace-level pass.
     batch: usize,
     /// Lease duration for `sweep` queue claims. `None` falls back to
     /// the (env-overridable) `distrib::Timings` default.

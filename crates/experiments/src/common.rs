@@ -7,8 +7,8 @@ use perconf_bpred::{
     baseline_bimodal_gshare, gshare_perceptron, BranchPredictor, SimPredictor, Snapshot,
 };
 use perconf_core::{
-    ConfidenceEstimator, EstimateCtx, JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig,
-    PerceptronTnt, PerceptronTntConfig, SimEstimator, SpeculationController,
+    ConfidenceEstimator, Estimate, EstimateCtx, JrsConfig, JrsEstimator, PerceptronCe,
+    PerceptronCeConfig, PerceptronTnt, PerceptronTntConfig, SimEstimator, SpeculationController,
 };
 use perconf_metrics::{ConfusionMatrix, DensityPair};
 use perconf_obs::{Profiler, TraceEvent, Tracer};
@@ -239,6 +239,9 @@ pub fn reseed(cfg: &WorkloadConfig, run: u64) -> WorkloadConfig {
     c
 }
 
+/// One (predictor, estimator) pair a trace-level pass trains.
+pub type TracePair<'a> = (&'a mut dyn BranchPredictor, &'a mut dyn ConfidenceEstimator);
+
 /// Trace-level evaluation of a (predictor, estimator) pair: runs the
 /// branch stream without the pipeline, training both structures
 /// in order (equivalent to the simulator's non-speculative retirement
@@ -252,35 +255,80 @@ pub fn trace_eval(
     run_branches: u64,
     density: Option<(i64, i64, u32)>,
 ) -> (ConfusionMatrix, Option<DensityPair>) {
+    let mut dens = density.map(|(lo, hi, bin)| DensityPair::new(lo, hi, bin));
+    let mut cms = trace_loop(
+        wl,
+        &mut [(predictor, estimator)],
+        warmup_branches,
+        run_branches,
+        |est, mispredicted| {
+            if let Some(d) = &mut dens {
+                d.add(i64::from(est.raw), mispredicted);
+            }
+        },
+    );
+    (cms.pop().expect("one pair, one matrix"), dens)
+}
+
+/// [`trace_eval`] for many pairs over one generated branch stream:
+/// every pair sees each branch in slice order, and returns its
+/// confusion matrix in the same slot.
+///
+/// Pairs share nothing but the stream, and the correct-path stream is
+/// a pure function of `wl`, so pair `i`'s matrix and final state are
+/// exactly what `trace_eval` of that pair alone produces. An empty
+/// slice returns an empty `Vec` without generating anything.
+pub fn trace_eval_each(
+    wl: &WorkloadConfig,
+    pairs: &mut [TracePair<'_>],
+    warmup_branches: u64,
+    run_branches: u64,
+) -> Vec<ConfusionMatrix> {
+    trace_loop(wl, pairs, warmup_branches, run_branches, |_, _| {})
+}
+
+/// The one trace loop: draws each branch once and, for each pair in
+/// order, predicts, estimates, records the matrix (and calls
+/// `on_measured` with the estimate and misprediction) after warm-up,
+/// then trains the predictor and the estimator.
+fn trace_loop(
+    wl: &WorkloadConfig,
+    pairs: &mut [TracePair<'_>],
+    warmup_branches: u64,
+    run_branches: u64,
+    mut on_measured: impl FnMut(Estimate, bool),
+) -> Vec<ConfusionMatrix> {
+    if pairs.is_empty() {
+        return Vec::new();
+    }
     let _s = profiler().scope("phase/trace_eval");
     let mut gen = WorkloadGenerator::new(wl);
-    let mut cm = ConfusionMatrix::new();
-    let mut dens = density.map(|(lo, hi, bin)| DensityPair::new(lo, hi, bin));
+    let mut cms = vec![ConfusionMatrix::new(); pairs.len()];
     let mut hist = 0u64;
     let mut seen = 0u64;
     while seen < warmup_branches + run_branches {
         let u = gen.next_uop();
         let Some(b) = u.branch else { continue };
         seen += 1;
-        let predicted_taken = predictor.predict(b.pc, hist);
-        let ctx = EstimateCtx {
-            pc: b.pc,
-            history: hist,
-            predicted_taken,
-        };
-        let est = estimator.estimate(&ctx);
-        let mispredicted = predicted_taken != b.taken;
-        if seen > warmup_branches {
-            cm.record(mispredicted, est.is_low());
-            if let Some(d) = &mut dens {
-                d.add(i64::from(est.raw), mispredicted);
+        for ((predictor, estimator), cm) in pairs.iter_mut().zip(&mut cms) {
+            let predicted_taken = predictor.predict(b.pc, hist);
+            let ctx = EstimateCtx {
+                pc: b.pc,
+                history: hist,
+                predicted_taken,
+            };
+            let est = estimator.estimate(&ctx);
+            let mispredicted = predicted_taken != b.taken;
+            if seen > warmup_branches {
+                cm.record(mispredicted, est.is_low());
+                on_measured(est, mispredicted);
             }
+            predictor.train(b.pc, hist, b.taken);
+            estimator.train(&ctx, est, mispredicted);
         }
-        predictor.train(b.pc, hist, b.taken);
-        estimator.train(&ctx, est, mispredicted);
         hist = (hist << 1) | u64::from(b.taken);
     }
-    (cm, dens)
+    cms
 }
 
 /// Result of one (baseline, variant) pipeline comparison.
@@ -696,6 +744,108 @@ mod tests {
         let d = d.unwrap();
         assert_eq!(d.correct.count() + d.mispredicted.count(), cm.total());
         assert_eq!(d.mispredicted.count(), cm.mispredicted());
+    }
+
+    type Baseline = perconf_bpred::Hybrid<perconf_bpred::Bimodal, perconf_bpred::Gshare>;
+    type WrappedPair = (
+        perconf_faults::FaultyPredictor<Baseline>,
+        perconf_faults::FaultyEstimator<Box<dyn perconf_core::FaultableEstimator>>,
+    );
+
+    /// The pairs the shared-pass test trains: a bare (bimodal-gshare,
+    /// JRS λ=1) pair, then fault-wrapped perceptron pairs at rates 1e-3
+    /// and 1e-1 and a wrapped JRS pair at rate 0, each with its own
+    /// fault seeds.
+    struct SharedPassPairs {
+        bare: (Baseline, JrsEstimator),
+        wrapped: Vec<WrappedPair>,
+    }
+
+    impl SharedPassPairs {
+        fn new() -> Self {
+            use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
+            let jrs1 = || {
+                JrsEstimator::new(JrsConfig {
+                    lambda: 1,
+                    ..JrsConfig::default()
+                })
+            };
+            let wrap = |rate: f64, seed: u64, e: Box<dyn perconf_core::FaultableEstimator>| {
+                let cfg_p = FaultConfig {
+                    rate,
+                    history_rate: rate,
+                    seed,
+                };
+                (
+                    FaultyPredictor::new(baseline_bimodal_gshare(), &cfg_p),
+                    FaultyEstimator::new(e, &FaultConfig::state_only(rate, seed ^ 0x22)),
+                )
+            };
+            let perceptron = || Box::new(PerceptronCe::new(PerceptronCeConfig::default()));
+            Self {
+                bare: (baseline_bimodal_gshare(), jrs1()),
+                wrapped: vec![
+                    wrap(1e-3, 0x11, perceptron()),
+                    wrap(1e-1, 0x33, perceptron()),
+                    wrap(0.0, 0x55, Box::new(jrs1())),
+                ],
+            }
+        }
+
+        fn trace_pairs(&mut self) -> Vec<TracePair<'_>> {
+            let (p, e) = &mut self.bare;
+            let mut pairs: Vec<TracePair<'_>> = vec![(p, e)];
+            for (p, e) in &mut self.wrapped {
+                pairs.push((p, e));
+            }
+            pairs
+        }
+
+        /// Faults injected per wrapped pair, `[predictor, estimator]`.
+        fn injected(&self) -> Vec<[u64; 2]> {
+            self.wrapped
+                .iter()
+                .map(|(p, e)| [p.injected(), e.injected()])
+                .collect()
+        }
+
+        /// `[predictor, estimator]` state digests per pair.
+        fn digests(&self) -> Vec<[u64; 2]> {
+            let (p, e) = &self.bare;
+            let mut out = vec![[p.state_digest(), e.state_digest()]];
+            for (p, e) in &self.wrapped {
+                out.push([p.state_digest(), e.state_digest()]);
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn shared_pass_matches_each_pair_alone() {
+        let wl = perconf_workload::spec2000_config("gcc").unwrap();
+        let (warmup, run) = (2_000, 8_000);
+        let mut shared = SharedPassPairs::new();
+        let cms = trace_eval_each(&wl, &mut shared.trace_pairs(), warmup, run);
+        let mut alone = SharedPassPairs::new();
+        let solo: Vec<ConfusionMatrix> = alone
+            .trace_pairs()
+            .into_iter()
+            .map(|(p, e)| trace_eval(&wl, p, e, warmup, run, None).0)
+            .collect();
+        assert_eq!(cms.len(), 4);
+        assert_eq!(cms, solo);
+        assert!(cms.iter().all(|cm| cm.total() == run));
+        assert_eq!(shared.injected(), alone.injected());
+        assert_eq!(shared.digests(), alone.digests());
+        // The comparison has teeth: the faulted pairs were hit, the
+        // zero-rate pair was not, and the heavy rate moved the matrix.
+        let injected = shared.injected();
+        assert!(injected[0][0] > 0 && injected[0][1] > 0, "{injected:?}");
+        assert!(injected[1][0] > injected[0][0], "{injected:?}");
+        assert_eq!(injected[2], [0, 0]);
+        assert_ne!(cms[1], cms[2]);
+
+        assert!(trace_eval_each(&wl, &mut [], warmup, run).is_empty());
     }
 
     #[test]

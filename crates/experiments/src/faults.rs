@@ -31,17 +31,20 @@
 //! campaign seed and the cell coordinates, never of scheduling order.
 
 use crate::common::{
-    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, trace_eval, BatchMember, Scale,
+    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, trace_eval, trace_eval_each,
+    BatchMember, Scale, TracePair,
 };
 use crate::runner::{BatchSpec, CellSpec, CellTiming, CheckpointCell, Scheduler};
-use perconf_bpred::{baseline_bimodal_gshare, SimPredictor};
+use perconf_bpred::{baseline_bimodal_gshare, Bimodal, BranchPredictor, Gshare, Hybrid};
 use perconf_core::{
-    JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig, SimEstimator, SpeculationController,
+    FaultableEstimator, JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig,
+    SpeculationController,
 };
 use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
-use perconf_metrics::Table;
+use perconf_metrics::{ConfusionMatrix, Table};
 use perconf_obs::CounterSnapshot;
-use perconf_pipeline::PipelineConfig;
+use perconf_pipeline::{Controller, PipelineConfig, Simulation};
+use perconf_workload::WorkloadConfig;
 use serde::{Deserialize, Serialize};
 
 /// Per-access fault rates swept, decade-spaced. Rate 0 is the exact
@@ -155,8 +158,10 @@ pub struct FaultRow {
     pub spec: f64,
     /// Mean misprediction rate (%).
     pub miss_rate: f64,
-    /// Mean fractional IPC loss vs the zero-rate cell (%).
-    pub ipc_loss: f64,
+    /// Mean fractional IPC loss vs the same benchmark's zero-rate cell
+    /// (%), over the benchmarks that have one; `None` (rendered `n/a`,
+    /// serialised `null`) when none in the row does.
+    pub ipc_loss: Option<f64>,
 }
 
 /// Full resilience-sweep result.
@@ -230,7 +235,7 @@ pub fn cell_content_digest(
     perconf_bpred::digest_bytes(canon.as_bytes())
 }
 
-fn estimator_by_name(name: &str) -> Box<dyn perconf_core::FaultableEstimator> {
+fn estimator_by_name(name: &str) -> Box<dyn FaultableEstimator> {
     match name {
         "perceptron" => Box::new(PerceptronCe::new(PerceptronCeConfig::default())),
         // λ=1 is the conservative gating point of Table 4: only
@@ -242,6 +247,73 @@ fn estimator_by_name(name: &str) -> Box<dyn perconf_core::FaultableEstimator> {
             ..JrsConfig::default()
         })),
         other => panic!("unknown estimator {other}"),
+    }
+}
+
+/// One cell's fault plans, `[predictor, estimator]`. The predictor
+/// takes both persistent table upsets and transient history-latch
+/// strikes at the same rate; without the latter, big retrained tables
+/// absorb flips almost for free and the machine-level effect vanishes.
+/// The estimator takes table upsets only so its PVN/Spec shifts are
+/// attributable to its own state.
+fn fault_configs(rate: f64, seed: u64) -> [FaultConfig; 2] {
+    [
+        FaultConfig {
+            rate,
+            history_rate: rate,
+            seed: seed ^ 0x11,
+        },
+        FaultConfig::state_only(rate, seed ^ 0x22),
+    ]
+}
+
+/// A cell's baseline predictor and estimator behind their fault
+/// wrappers.
+type FaultyPair = (
+    FaultyPredictor<Hybrid<Bimodal, Gshare>>,
+    FaultyEstimator<Box<dyn FaultableEstimator>>,
+);
+
+fn faulty_pair(estimator: &str, [cfg_p, cfg_e]: &[FaultConfig; 2]) -> FaultyPair {
+    (
+        FaultyPredictor::new(baseline_bimodal_gshare(), cfg_p),
+        FaultyEstimator::new(estimator_by_name(estimator), cfg_e),
+    )
+}
+
+/// A cell's gated-pipeline controller: the same wrapped pair, fresh.
+/// The faulted controller snapshots like a clean one — the fault
+/// plan's RNG cursor rides along — so resuming replays the same
+/// upsets.
+fn faulty_controller(estimator: &str, cfgs: &[FaultConfig; 2]) -> Controller {
+    let (p, e) = faulty_pair(estimator, cfgs);
+    SpeculationController::new(Box::new(p), Box::new(e))
+}
+
+/// Assembles the cell at (benchmark, estimator, rate) from its
+/// trace-level matrix, the faults injected during that pass
+/// (`[predictor, estimator]`), and its finished pipeline run. A
+/// [`SimError`](perconf_pipeline::SimError) is an invariant failure;
+/// it surfaces as the panic the runner's attempt isolation already
+/// turns into a typed error.
+fn fault_cell(
+    (bench, estimator, rate): (&str, &str, f64),
+    cm: &ConfusionMatrix,
+    [faults_predictor, faults_estimator]: [u64; 2],
+    sim: Result<Simulation, perconf_pipeline::SimError>,
+) -> FaultCell {
+    let sim = sim.unwrap_or_else(|e| panic!("{e}"));
+    FaultCell {
+        benchmark: bench.to_owned(),
+        estimator: estimator.to_owned(),
+        rate,
+        pvn: cm.pvn() * 100.0,
+        spec: cm.spec() * 100.0,
+        miss_rate: cm.misprediction_rate() * 100.0,
+        ipc: sim.stats().ipc(),
+        faults_predictor,
+        faults_estimator,
+        counters: sim.counters(),
     }
 }
 
@@ -262,21 +334,10 @@ pub fn run_cell(
     cell: &CheckpointCell,
 ) -> FaultCell {
     let wl = perconf_workload::spec2000_config(bench).expect("known benchmark");
-    // The predictor takes both persistent table upsets and transient
-    // history-latch strikes at the same rate; without the latter, big
-    // retrained tables absorb flips almost for free and the machine-
-    // level effect vanishes. The estimator takes table upsets only so
-    // its PVN/Spec shifts are attributable to its own state.
-    let cfg_p = FaultConfig {
-        rate,
-        history_rate: rate,
-        seed: seed ^ 0x11,
-    };
-    let cfg_e = FaultConfig::state_only(rate, seed ^ 0x22);
+    let cfgs = fault_configs(rate, seed);
 
     // Trace-level confidence metrics.
-    let mut p = FaultyPredictor::new(baseline_bimodal_gshare(), &cfg_p);
-    let mut e = FaultyEstimator::new(estimator_by_name(estimator), &cfg_e);
+    let (mut p, mut e) = faulty_pair(estimator, &cfgs);
     let (cm, _) = trace_eval(
         &wl,
         &mut p,
@@ -285,49 +346,21 @@ pub fn run_cell(
         scale.run_branches,
         None,
     );
-    // The pipeline controller consumes its wrappers, so the reported
+    // The pipeline controller builds its own wrappers, so the reported
     // injection counts cover the trace-level pass only.
-    let faults_predictor = p.injected();
-    let faults_estimator = e.injected();
+    let injected = [p.injected(), e.injected()];
 
     // Pipeline IPC with both structures faulted (gated deep machine,
-    // the configuration the estimator actually protects). The faulted
-    // controller snapshots like a clean one — the fault plan's RNG
-    // cursor rides along — so resuming replays the same upsets.
-    let mk_ctl = || {
-        SpeculationController::new(
-            Box::new(FaultyPredictor::new(baseline_bimodal_gshare(), &cfg_p))
-                as Box<dyn SimPredictor>,
-            Box::new(FaultyEstimator::new(estimator_by_name(estimator), &cfg_e))
-                as Box<dyn SimEstimator>,
-        )
-    };
-    let (stats, counters) = match run_pipeline_checkpointed(
+    // the configuration the estimator actually protects).
+    let sim = run_pipeline_checkpointed(
         &wl,
         PipelineConfig::deep().gated(1),
-        mk_ctl,
+        || faulty_controller(estimator, &cfgs),
         scale,
         cell,
         50_000,
-    ) {
-        Ok(sim) => (sim.stats().clone(), sim.counters()),
-        // A SimError is an invariant failure; surface it as the panic
-        // the runner's catch_unwind already turns into a typed error.
-        Err(e) => panic!("{e}"),
-    };
-
-    FaultCell {
-        benchmark: bench.to_owned(),
-        estimator: estimator.to_owned(),
-        rate,
-        pvn: cm.pvn() * 100.0,
-        spec: cm.spec() * 100.0,
-        miss_rate: cm.misprediction_rate() * 100.0,
-        ipc: stats.ipc(),
-        faults_predictor,
-        faults_estimator,
-        counters,
-    }
+    );
+    fault_cell((bench, estimator, rate), &cm, injected, sim)
 }
 
 /// One sweep-cell coordinate, resolved from the grid: everything
@@ -340,12 +373,12 @@ struct CellCoord {
     seed: u64,
 }
 
-/// Computes a group of sweep cells with their pipeline legs
-/// interleaved through one batched cycle loop
-/// ([`run_pipeline_checkpointed_batch`]). The trace-level passes stay
-/// sequential per member (they are cheap); only the dominant pipeline
-/// leg batches. Per-member results, checkpoint bytes, and counters
-/// are byte-identical to [`run_cell`] on the same coordinates.
+/// Computes a group of sweep cells: members that evaluate the same
+/// workload share one trace-level pass ([`trace_eval_each`]), and all
+/// members' pipeline legs interleave through one batched cycle loop
+/// ([`run_pipeline_checkpointed_batch`]). Per-member results,
+/// checkpoint bytes, and counters are byte-identical to [`run_cell`]
+/// on the same coordinates.
 ///
 /// `idxs` selects which members of `coords` to compute (the batch
 /// engine skips members served from final checkpoints); returns one
@@ -356,96 +389,69 @@ fn run_cells_batched(
     cells: &[CheckpointCell],
     scale: Scale,
 ) -> Vec<FaultCell> {
-    // Trace-level legs plus per-member fault configs, sequentially.
-    struct TraceLeg {
-        wl: perconf_workload::WorkloadConfig,
-        cfg_p: FaultConfig,
-        cfg_e: FaultConfig,
-        cm: perconf_metrics::ConfusionMatrix,
-        faults_predictor: u64,
-        faults_estimator: u64,
-    }
-    let legs: Vec<TraceLeg> = idxs
+    let members: Vec<&CellCoord> = idxs.iter().map(|&i| &coords[i]).collect();
+    let wls: Vec<WorkloadConfig> = members
         .iter()
-        .map(|&i| {
-            let c = &coords[i];
-            let wl = perconf_workload::spec2000_config(&c.bench).expect("known benchmark");
-            let cfg_p = FaultConfig {
-                rate: c.rate,
-                history_rate: c.rate,
-                seed: c.seed ^ 0x11,
-            };
-            let cfg_e = FaultConfig::state_only(c.rate, c.seed ^ 0x22);
-            let mut p = FaultyPredictor::new(baseline_bimodal_gshare(), &cfg_p);
-            let mut e = FaultyEstimator::new(estimator_by_name(&c.estimator), &cfg_e);
-            let (cm, _) = trace_eval(
-                &wl,
-                &mut p,
-                &mut e,
-                scale.warmup_branches,
-                scale.run_branches,
-                None,
-            );
-            let (faults_predictor, faults_estimator) = (p.injected(), e.injected());
-            TraceLeg {
-                wl,
-                cfg_p,
-                cfg_e,
-                cm,
-                faults_predictor,
-                faults_estimator,
-            }
-        })
+        .map(|c| perconf_workload::spec2000_config(&c.bench).expect("known benchmark"))
         .collect();
+    let cfgs: Vec<[FaultConfig; 2]> = members
+        .iter()
+        .map(|c| fault_configs(c.rate, c.seed))
+        .collect();
+
+    // Trace-level legs: one pass per distinct workload, in
+    // first-appearance order, for every member that evaluates it. The
+    // pairs are dropped before the pipeline leg starts.
+    let mut pairs: Vec<FaultyPair> = members
+        .iter()
+        .zip(&cfgs)
+        .map(|(c, cfg)| faulty_pair(&c.estimator, cfg))
+        .collect();
+    let mut cms = vec![ConfusionMatrix::new(); members.len()];
+    for (first, wl) in wls.iter().enumerate() {
+        if wls[..first].contains(wl) {
+            continue;
+        }
+        let (group, mut shared): (Vec<usize>, Vec<TracePair<'_>>) = pairs
+            .iter_mut()
+            .enumerate()
+            .filter(|(j, _)| wls[*j] == *wl)
+            .map(|(j, (p, e))| (j, (p as &mut dyn BranchPredictor, e as _)))
+            .unzip();
+        let group_cms = trace_eval_each(wl, &mut shared, scale.warmup_branches, scale.run_branches);
+        for (j, cm) in group.into_iter().zip(group_cms) {
+            cms[j] = cm;
+        }
+    }
+    let injected: Vec<[u64; 2]> = pairs
+        .iter()
+        .map(|(p, e)| [p.injected(), e.injected()])
+        .collect();
+    drop(pairs);
+
     // The batched pipeline leg: same controller factory, pipeline
     // config, and 50k-uop checkpoint interval as `run_cell`.
-    let members: Vec<BatchMember<'_>> = idxs
+    let batch: Vec<BatchMember<'_>> = members
         .iter()
-        .zip(&legs)
-        .map(|(&i, leg)| {
-            let c = &coords[i];
-            let (cfg_p, cfg_e, est) = (leg.cfg_p, leg.cfg_e, c.estimator.clone());
-            BatchMember {
-                wl: &leg.wl,
-                mk_ctl: Box::new(move || {
-                    SpeculationController::new(
-                        Box::new(FaultyPredictor::new(baseline_bimodal_gshare(), &cfg_p))
-                            as Box<dyn SimPredictor>,
-                        Box::new(FaultyEstimator::new(estimator_by_name(&est), &cfg_e))
-                            as Box<dyn SimEstimator>,
-                    )
-                }),
-                cell: &cells[i],
-            }
+        .zip(&wls)
+        .zip(&cfgs)
+        .zip(idxs)
+        .map(|(((c, wl), cfg), &i)| BatchMember {
+            wl,
+            mk_ctl: Box::new(move || faulty_controller(&c.estimator, cfg)),
+            cell: &cells[i],
         })
         .collect();
     let sims =
-        run_pipeline_checkpointed_batch(&members, PipelineConfig::deep().gated(1), scale, 50_000);
-    drop(members);
-    idxs.iter()
-        .zip(legs)
+        run_pipeline_checkpointed_batch(&batch, PipelineConfig::deep().gated(1), scale, 50_000);
+    drop(batch);
+    members
+        .iter()
+        .zip(&cms)
+        .zip(injected)
         .zip(sims)
-        .map(|((&i, leg), sim)| {
-            let c = &coords[i];
-            let sim = match sim {
-                Ok(sim) => sim,
-                // A SimError is an invariant failure; surface it as
-                // the panic the runner's catch_unwind already turns
-                // into a typed error (same contract as `run_cell`).
-                Err(e) => panic!("{e}"),
-            };
-            FaultCell {
-                benchmark: c.bench.clone(),
-                estimator: c.estimator.clone(),
-                rate: c.rate,
-                pvn: leg.cm.pvn() * 100.0,
-                spec: leg.cm.spec() * 100.0,
-                miss_rate: leg.cm.misprediction_rate() * 100.0,
-                ipc: sim.stats().ipc(),
-                faults_predictor: leg.faults_predictor,
-                faults_estimator: leg.faults_estimator,
-                counters: sim.counters(),
-            }
+        .map(|(((c, cm), injected), sim)| {
+            fault_cell((&c.bench, &c.estimator, c.rate), cm, injected, sim)
         })
         .collect()
 }
@@ -593,7 +599,8 @@ pub fn table_from_cells(
 }
 
 /// Means per (estimator, rate) over whatever benchmarks completed;
-/// IPC loss is measured against the same benchmark's zero-rate cell.
+/// IPC loss is measured against the same benchmark's zero-rate cell,
+/// and is `None` when no benchmark in the row has one.
 fn aggregate(grid: &Grid, cells: &[FaultCell]) -> Vec<FaultRow> {
     let mut rows = Vec::new();
     for est in &grid.estimators {
@@ -608,31 +615,26 @@ fn aggregate(grid: &Grid, cells: &[FaultCell]) -> Vec<FaultRow> {
             let mean = |f: &dyn Fn(&FaultCell) -> f64| {
                 in_point.iter().map(|c| f(c)).sum::<f64>() / in_point.len() as f64
             };
-            let ipc_loss = {
-                let losses: Vec<f64> = in_point
-                    .iter()
-                    .filter_map(|c| {
-                        cells
-                            .iter()
-                            .find(|z| {
-                                &z.estimator == est && z.benchmark == c.benchmark && z.rate == 0.0
-                            })
-                            .map(|z| 1.0 - c.ipc / z.ipc)
-                    })
-                    .collect();
-                if losses.is_empty() {
-                    0.0
-                } else {
-                    losses.iter().sum::<f64>() / losses.len() as f64
-                }
-            };
+            let losses: Vec<f64> = in_point
+                .iter()
+                .filter_map(|c| {
+                    cells
+                        .iter()
+                        .find(|z| {
+                            &z.estimator == est && z.benchmark == c.benchmark && z.rate == 0.0
+                        })
+                        .map(|z| 1.0 - c.ipc / z.ipc)
+                })
+                .collect();
+            let ipc_loss = (!losses.is_empty())
+                .then(|| losses.iter().sum::<f64>() / losses.len() as f64 * 100.0);
             rows.push(FaultRow {
                 estimator: est.to_owned(),
                 rate,
                 pvn: mean(&|c| c.pvn),
                 spec: mean(&|c| c.spec),
                 miss_rate: mean(&|c| c.miss_rate),
-                ipc_loss: ipc_loss * 100.0,
+                ipc_loss,
             });
         }
     }
@@ -657,7 +659,8 @@ impl FaultTable {
                 format!("{:.1}", r.pvn),
                 format!("{:.1}", r.spec),
                 format!("{:.2}", r.miss_rate),
-                format!("{:.2}", r.ipc_loss),
+                r.ipc_loss
+                    .map_or_else(|| "n/a".to_owned(), |l| format!("{l:.2}")),
             ]);
         }
         out.push_str(&t.render());
@@ -706,18 +709,17 @@ impl FaultTable {
                 && q.windows(2).all(|w| w[1] <= w[0] * QUALITY_SLACK)
                 && q[q.len() - 1] < q[0]
         });
-        let perceptron_ipc_falls = {
-            let rs: Vec<&FaultRow> = self
-                .rows
-                .iter()
-                .filter(|r| r.estimator == "perceptron")
-                .collect();
-            rs.len() >= 2
-                && rs
-                    .windows(2)
-                    .all(|w| w[1].ipc_loss >= w[0].ipc_loss - IPC_TOL)
-                && rs.last().expect("non-empty").ipc_loss > 0.0
-        };
+        // A perceptron row without an IPC loss (no zero-rate cell to
+        // measure it against) cannot show the machine degrading.
+        let perceptron_losses: Option<Vec<f64>> = self
+            .rows
+            .iter()
+            .filter(|r| r.estimator == "perceptron")
+            .map(|r| r.ipc_loss)
+            .collect();
+        let perceptron_ipc_falls = perceptron_losses.is_some_and(|ls| {
+            ls.len() >= 2 && ls.windows(2).all(|w| w[1] >= w[0] - IPC_TOL) && ls[ls.len() - 1] > 0.0
+        });
         quality_falls && perceptron_ipc_falls
     }
 }
@@ -725,6 +727,8 @@ impl FaultTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perconf_bpred::SimPredictor;
+    use perconf_core::SimEstimator;
 
     #[test]
     fn cell_seed_is_deterministic_and_distinguishes_cells() {
@@ -832,7 +836,7 @@ mod tests {
             pvn,
             spec,
             miss_rate: 5.0,
-            ipc_loss,
+            ipc_loss: Some(ipc_loss),
         };
         let mut t = FaultTable {
             seed: 0,
@@ -850,9 +854,9 @@ mod tests {
         // coverage (quality falls) while its machine speeds up.
         assert!(t.degrades_monotonically());
         // Perceptron machine speeding up breaks the headline.
-        t.rows[1].ipc_loss = -1.0;
+        t.rows[1].ipc_loss = Some(-1.0);
         assert!(!t.degrades_monotonically());
-        t.rows[1].ipc_loss = 8.0;
+        t.rows[1].ipc_loss = Some(8.0);
         // JRS quality *improving* breaks it too.
         t.rows[3].spec = 60.0;
         assert!(!t.degrades_monotonically());
@@ -882,8 +886,60 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let dirty = rows.iter().find(|r| r.rate == 1e-2).unwrap();
         // Mean of 25% and 20% loss.
-        assert!((dirty.ipc_loss - 22.5).abs() < 1e-9);
+        assert!((dirty.ipc_loss.unwrap() - 22.5).abs() < 1e-9);
         let clean = rows.iter().find(|r| r.rate == 0.0).unwrap();
-        assert!(clean.ipc_loss.abs() < 1e-12);
+        assert!(clean.ipc_loss.unwrap().abs() < 1e-12);
+    }
+
+    #[test]
+    fn rows_without_a_zero_rate_cell_have_no_ipc_loss() {
+        let mk = |est: &str, bench: &str, rate: f64, ipc: f64| FaultCell {
+            benchmark: bench.to_owned(),
+            estimator: est.to_owned(),
+            rate,
+            pvn: 50.0 - rate * 100.0,
+            spec: 30.0,
+            miss_rate: 5.0,
+            ipc,
+            faults_predictor: 0,
+            faults_estimator: 0,
+            counters: CounterSnapshot::default(),
+        };
+        // Neither rate column is 0: no row has a baseline to lose IPC
+        // against, so none may claim a loss of 0%.
+        let grid = Grid {
+            estimators: vec!["perceptron".to_owned()],
+            benchmarks: vec!["gcc".to_owned(), "mcf".to_owned()],
+            rates: vec![1e-3, 1e-2],
+        };
+        let cells = vec![
+            mk("perceptron", "gcc", 1e-3, 2.0),
+            mk("perceptron", "gcc", 1e-2, 1.5),
+            mk("perceptron", "mcf", 1e-3, 1.0),
+            mk("perceptron", "mcf", 1e-2, 0.8),
+        ];
+        let table = table_from_cells(42, &grid, cells, Vec::new());
+        assert_eq!(table.rows.len(), 2);
+        assert!(table.rows.iter().all(|r| r.ipc_loss.is_none()));
+        let rendered = table.render();
+        assert_eq!(rendered.matches("n/a").count(), 2, "{rendered}");
+        assert!(!rendered.contains("0.00"), "{rendered}");
+        let json = serde_json::to_string(&table.rows).unwrap();
+        assert_eq!(json.matches("\"ipc_loss\":null").count(), 2, "{json}");
+        assert!(!table.degrades_monotonically());
+
+        // Where only some benchmarks have a zero-rate cell, the mean
+        // covers those, and the row renders as before.
+        let grid = Grid {
+            rates: vec![0.0, 1e-2],
+            ..grid
+        };
+        let cells = vec![
+            mk("perceptron", "gcc", 0.0, 2.0),
+            mk("perceptron", "gcc", 1e-2, 1.5),
+            mk("perceptron", "mcf", 1e-2, 0.8),
+        ];
+        let rows = aggregate(&grid, &cells);
+        assert!((rows[1].ipc_loss.unwrap() - 25.0).abs() < 1e-9);
     }
 }

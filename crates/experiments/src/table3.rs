@@ -3,7 +3,9 @@
 //! versus the perceptron estimator at λ ∈ {25, 0, −25, −50}, both at
 //! 4 KB of storage, over all twelve benchmarks.
 
-use crate::common::{benchmarks, jrs, perceptron, trace_eval, PredictorKind, Scale};
+use crate::common::{
+    benchmarks, jrs, perceptron, trace_eval_each, PredictorKind, Scale, TracePair,
+};
 use crate::paper;
 use perconf_metrics::{ConfusionMatrix, Table};
 use serde::{Deserialize, Serialize};
@@ -33,55 +35,46 @@ pub const JRS_LAMBDAS: [u8; 4] = [3, 7, 11, 15];
 /// The perceptron thresholds swept by the paper.
 pub const PERCEPTRON_LAMBDAS: [i32; 4] = [25, 0, -25, -50];
 
-fn eval(
-    mk: &dyn Fn() -> Box<dyn perconf_core::ConfidenceEstimator>,
-    scale: Scale,
-) -> ConfusionMatrix {
-    let mut total = ConfusionMatrix::new();
-    for wl in benchmarks() {
-        let mut p = PredictorKind::BimodalGshare.build();
-        let mut ce = mk();
-        let (cm, _) = trace_eval(
-            &wl,
-            p.as_mut(),
-            ce.as_mut(),
-            scale.warmup_branches,
-            scale.run_branches,
-            None,
-        );
-        total.merge(&cm);
-    }
-    total
-}
-
-/// Runs the Table 3 experiment.
+/// Runs the Table 3 experiment: per benchmark, one trace pass trains
+/// all eight design points (each with its own baseline predictor);
+/// each point's matrices then merge in benchmark order.
 #[must_use]
 pub fn run(scale: Scale) -> Table3 {
-    let jrs_rows = JRS_LAMBDAS
-        .iter()
-        .map(|&l| {
-            let cm = eval(&|| jrs(l), scale);
-            Table3Row {
-                lambda: i32::from(l),
-                pvn: cm.pvn() * 100.0,
-                spec: cm.spec() * 100.0,
-            }
-        })
-        .collect();
-    let perc_rows = PERCEPTRON_LAMBDAS
-        .iter()
-        .map(|&l| {
-            let cm = eval(&|| perceptron(l), scale);
-            Table3Row {
-                lambda: l,
-                pvn: cm.pvn() * 100.0,
-                spec: cm.spec() * 100.0,
-            }
-        })
-        .collect();
+    let mut totals = [ConfusionMatrix::new(); JRS_LAMBDAS.len() + PERCEPTRON_LAMBDAS.len()];
+    for wl in benchmarks() {
+        let estimators = JRS_LAMBDAS
+            .iter()
+            .map(|&l| jrs(l))
+            .chain(PERCEPTRON_LAMBDAS.iter().map(|&l| perceptron(l)));
+        let mut built: Vec<_> = estimators
+            .map(|ce| (PredictorKind::BimodalGshare.build(), ce))
+            .collect();
+        let mut pairs: Vec<TracePair<'_>> = built
+            .iter_mut()
+            .map(|(p, ce)| (p.as_mut() as _, ce.as_mut() as _))
+            .collect();
+        let cms = trace_eval_each(&wl, &mut pairs, scale.warmup_branches, scale.run_branches);
+        for (total, cm) in totals.iter_mut().zip(&cms) {
+            total.merge(cm);
+        }
+    }
+    let row = |lambda: i32, cm: &ConfusionMatrix| Table3Row {
+        lambda,
+        pvn: cm.pvn() * 100.0,
+        spec: cm.spec() * 100.0,
+    };
+    let (jrs_totals, perc_totals) = totals.split_at(JRS_LAMBDAS.len());
     Table3 {
-        jrs: jrs_rows,
-        perceptron: perc_rows,
+        jrs: JRS_LAMBDAS
+            .iter()
+            .zip(jrs_totals)
+            .map(|(&l, cm)| row(i32::from(l), cm))
+            .collect(),
+        perceptron: PERCEPTRON_LAMBDAS
+            .iter()
+            .zip(perc_totals)
+            .map(|(&l, cm)| row(l, cm))
+            .collect(),
     }
 }
 

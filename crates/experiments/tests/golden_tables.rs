@@ -1,7 +1,9 @@
 //! Golden-value regression suite: reduced-scale runs of Table 2,
-//! Table 4 (two estimators × representative design points), and the
-//! Figure 8 reversal+gating combination, compared field-by-field
-//! against checked-in expected JSON under `tests/golden/`.
+//! Table 3 (all eight estimator design points over the twelve
+//! benchmarks), Table 4 (two estimators × representative design
+//! points), and the Figure 8 reversal+gating combination, compared
+//! field-by-field against checked-in expected JSON under
+//! `tests/golden/`.
 //!
 //! The simulator is bit-deterministic, so the tolerance is tight
 //! (1e-9 relative): these tests exist to catch *any* unintended change
@@ -16,7 +18,7 @@
 
 use perconf_experiments::common::{jrs, perceptron, BaselineSet, PredictorKind};
 use perconf_experiments::table4::{Table4, Table4Row};
-use perconf_experiments::{fig89, table2, Scale};
+use perconf_experiments::{fig89, table2, table3, Scale};
 use perconf_pipeline::PipelineConfig;
 use serde::{Key, Value};
 use std::path::PathBuf;
@@ -44,6 +46,12 @@ fn golden_path(name: &str) -> PathBuf {
 
 fn reduced_table2() -> table2::Table2 {
     table2::run_on(Scale::tiny(), &benches())
+}
+
+/// Table 3 at tiny scale: every trace-level design point over the
+/// twelve benchmarks.
+fn reduced_table3() -> table3::Table3 {
+    table3::run(Scale::tiny())
 }
 
 /// Representative Table 4 design points: the paper's midrange JRS
@@ -165,6 +173,11 @@ fn assert_matches_golden(name: &str, actual: &impl serde::Serialize) {
 #[test]
 fn table2_matches_golden() {
     assert_matches_golden("table2_tiny.json", &reduced_table2());
+}
+
+#[test]
+fn table3_matches_golden() {
+    assert_matches_golden("table3_tiny.json", &reduced_table3());
 }
 
 #[test]
@@ -307,6 +320,7 @@ fn regenerate_golden_files() {
         println!("wrote {}", golden_path(name).display());
     };
     write("table2_tiny.json", &reduced_table2());
+    write("table3_tiny.json", &reduced_table3());
     write("table4_tiny.json", &reduced_table4());
     write("fig8_combo_tiny.json", &reduced_fig8());
 }
