@@ -263,7 +263,7 @@ struct Args {
     /// the same benchmark share one trace-level pass.
     batch: usize,
     /// Lease duration for `sweep` queue claims. `None` falls back to
-    /// the (env-overridable) `distrib::Timings` default.
+    /// `distrib::DEFAULT_LEASE` (30 s).
     lease_secs: Option<u64>,
     /// Chaos campaign spec (`key=value,...`) for `sweep`.
     chaos: Option<String>,
@@ -714,18 +714,15 @@ fn run_one(
                 Some(spec) => Some(ChaosConfig::parse(spec).map_err(RunFailure::Usage)?),
                 None => None,
             };
-            // Flag > environment > default, per the Timings contract.
-            let mut timings = distrib::Timings::from_env();
-            if let Some(secs) = args.lease_secs {
-                timings.lease = Duration::from_secs(secs);
-            }
             let cfg = distrib::SweepConfig {
                 queue_root,
                 workers: args.workers,
                 scale,
                 seed: args.seed,
                 grid: args.grid.clone(),
-                timings,
+                lease: args
+                    .lease_secs
+                    .map_or(distrib::DEFAULT_LEASE, Duration::from_secs),
                 chaos,
                 cell_timeout: args.cell_timeout.map(Duration::from_secs),
             };

@@ -65,6 +65,19 @@ impl Scale {
             run_branches: 40_000,
         }
     }
+
+    /// Resolves a scale name (`tiny` | `quick` | `full`) — the shared
+    /// vocabulary of declarative specs and the experiment server's
+    /// submit protocol, beside [`Grid::by_name`](crate::faults::Grid::by_name).
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "tiny" => Some(Self::tiny()),
+            "quick" => Some(Self::quick()),
+            "full" => Some(Self::full()),
+            _ => None,
+        }
+    }
 }
 
 impl Default for Scale {

@@ -12,15 +12,22 @@
 //!
 //! * [`queue`] — the on-disk protocol: atomic-rename claims, mtime
 //!   leases, reaping, checksummed result publication;
-//! * [`worker`] — the per-process loop: claim, execute on a one-job
+//! * [`worker`] — the per-process loop: claim, execute the cell's
+//!   [`faults::cell_spec`](crate::faults::cell_spec) on a one-job
 //!   checkpointing [`Scheduler`], heartbeat, publish (with
 //!   exactly-once late-result suppression);
+//! * `timings` — the pacing constants (heartbeats, polls, queue-open
+//!   retries, respawn budget); only the lease varies, through
+//!   [`SweepConfig::lease`];
 //! * [`run_sweep`] — the coordinator: creates the queue, spawns and
 //!   supervises workers (respawning dead ones with a bounded budget),
 //!   drains stragglers inline, then merges results in canonical grid
-//!   order with per-cell fallbacks (published result → runner final
-//!   checkpoint → inline recompute, resuming any orphaned mid-cell
-//!   checkpoint) so a crashed worker costs wall-clock, never bytes.
+//!   order with per-cell fallbacks (published result →
+//!   [`runner::recover`](crate::runner::recover) on the checkpoint
+//!   directory, which serves a final checkpoint or reports a failure
+//!   marker → inline recompute when neither exists, resuming any
+//!   orphaned mid-cell checkpoint) so a crashed worker costs
+//!   wall-clock, never bytes.
 //!
 //! Why the merge repairs the `results/` tree: CI diffs the result
 //! *directories* of a clean run and a chaos run byte-for-byte. A
@@ -34,18 +41,17 @@
 //! `report.json` and `workers/` — never in the byte-compared output.
 
 pub mod queue;
-pub mod timings;
+mod timings;
 pub mod worker;
 
 pub use queue::{CellDesc, Claim, Manifest, Queue, MANIFEST_VERSION};
-pub use timings::Timings;
+pub use timings::DEFAULT_LEASE;
 pub use worker::{run_worker, WorkerConfig, CHAOS_EXIT};
 
 use crate::common::Scale;
 use crate::faults::{table_from_cells, FaultCell, FaultTable, Grid};
 use crate::runner::{
-    failure_kind, gc_dir, load_final_checkpoint, note_degraded, GcReport, RunnerConfig, Scheduler,
-    SchedulerConfig,
+    gc_dir, note_degraded, recover, GcReport, RunnerConfig, Scheduler, SchedulerConfig,
 };
 use perconf_faults::process::render_script;
 use perconf_faults::{ChaosConfig, ChaosPlan};
@@ -53,6 +59,7 @@ use perconf_obs::CounterSnapshot;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use timings::{RESPAWN_BUDGET_PER_WORKER, SUPERVISE_POLL};
 
 /// Coordinator-side configuration of one distributed sweep.
 #[derive(Debug, Clone)]
@@ -71,10 +78,10 @@ pub struct SweepConfig {
     pub seed: u64,
     /// The grid to sweep.
     pub grid: Grid,
-    /// Pacing: lease duration, heartbeat cadence, poll intervals and
-    /// the respawn budget (defaults env-overridable via
-    /// `PERCONF_DISTRIB_*`; `--lease-secs` wins over both).
-    pub timings: Timings,
+    /// Lease duration written into the manifest: a claimed cell idle
+    /// this long is requeued (`repro sweep --lease-secs`, default
+    /// [`DEFAULT_LEASE`]). Workers heartbeat at a quarter of it.
+    pub lease: Duration,
     /// Chaos campaign to script into the spawned workers.
     pub chaos: Option<ChaosConfig>,
     /// Per-attempt watchdog for cell execution.
@@ -129,7 +136,7 @@ fn manifest_for(cfg: &SweepConfig) -> Manifest {
         seed: cfg.seed,
         scale: cfg.scale,
         grid: cfg.grid.clone(),
-        lease_ms: u64::try_from(cfg.timings.lease.as_millis()).unwrap_or(u64::MAX),
+        lease_ms: u64::try_from(cfg.lease.as_millis()).unwrap_or(u64::MAX),
     }
 }
 
@@ -203,7 +210,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<(FaultTable, DistribReport), Strin
         // the multi-process runs against.
         let wc = WorkerConfig {
             timeout: cfg.cell_timeout,
-            timings: cfg.timings.clone(),
             ..WorkerConfig::new(cfg.queue_root.clone(), "w0i0")
         };
         run_worker(&wc)?;
@@ -219,7 +225,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<(FaultTable, DistribReport), Strin
     if queue.pending() > 0 {
         let wc = WorkerConfig {
             timeout: cfg.cell_timeout,
-            timings: cfg.timings.clone(),
             ..WorkerConfig::new(cfg.queue_root.clone(), "coordinator-drain")
         };
         run_worker(&wc)?;
@@ -285,7 +290,7 @@ fn supervise_fleet(
         return Err("could not start any worker process".to_owned());
     }
 
-    let budget = fleet_size * cfg.timings.respawn_budget_per_worker;
+    let budget = fleet_size * RESPAWN_BUDGET_PER_WORKER;
     while !live.is_empty() {
         let mut still: Vec<(u64, u32, std::process::Child)> = Vec::new();
         for (ordinal, incarnation, mut child) in live.drain(..) {
@@ -323,19 +328,20 @@ fn supervise_fleet(
         }
         live = still;
         if !live.is_empty() {
-            std::thread::sleep(cfg.timings.supervise_poll);
+            std::thread::sleep(SUPERVISE_POLL);
         }
     }
     Ok(spawned)
 }
 
 /// Merges the sweep in canonical grid order. Per cell, in preference
-/// order: published result file → runner final checkpoint (recovered
-/// and re-published) → failure marker (reported as failed) → inline
-/// recompute (resuming any orphaned partial). Returns the merged
-/// table and the GC report for the checkpoint directory (GC runs only
-/// when every cell succeeded, so failed cells keep their state for a
-/// `--resume` retry).
+/// order: published result file → [`recover`] from the checkpoint
+/// directory (a final checkpoint is re-published, a failure marker is
+/// reported as failed) → inline recompute when it finds neither
+/// (resuming any orphaned partial). Returns the merged table and the
+/// GC report for the checkpoint directory (GC runs only when every
+/// cell succeeded, so failed cells keep their state for a `--resume`
+/// retry).
 fn merge(
     cfg: &SweepConfig,
     queue: &Queue,
@@ -358,37 +364,36 @@ fn merge(
         }
         // No (usable) published result. A worker may have died between
         // completing the lease and publishing — its final checkpoint
-        // has the bytes.
-        if let Some(cell) = load_final_checkpoint::<FaultCell>(&cells_dir, &desc.key) {
-            queue.publish_result(&desc.key, &cell);
-            report.cells_recovered_from_checkpoint += 1;
-            cells.push(cell);
-            continue;
-        }
-        // A failure marker means the retry budget was spent on this
-        // cell; report it instead of burning the coordinator on it.
-        if let Some(kind) = failure_kind(&cells_dir, &desc.key) {
-            report.failed_cells.push(FailedCell {
-                key: desc.key.clone(),
-                kind,
-            });
-            continue;
-        }
-        // Nothing anywhere: recompute inline (resume picks up an
-        // orphaned mid-cell partial if one exists).
-        let r = worker::run_queued_cell(&mut scheduler, &manifest, &desc);
-        if r.resumed_mid_cell {
-            report.cells_resumed_mid_cell += 1;
-        }
-        match r.outcome {
+        // has the bytes — or spent the cell's retry budget, which its
+        // failure marker reports instead of burning the coordinator on
+        // the cell again.
+        let outcome = match recover::<FaultCell>(&cells_dir, &desc.key) {
+            Some(Ok(cell)) => {
+                report.cells_recovered_from_checkpoint += 1;
+                Ok(cell)
+            }
+            Some(Err(kind)) => Err(kind),
+            None => {
+                // Nothing anywhere: recompute inline (resume picks up
+                // an orphaned mid-cell partial if one exists).
+                let r = worker::run_queued_cell(&mut scheduler, &manifest, &desc);
+                if r.resumed_mid_cell {
+                    report.cells_resumed_mid_cell += 1;
+                }
+                if r.outcome.is_ok() {
+                    report.cells_recomputed_inline += 1;
+                }
+                r.outcome.map_err(|e| e.kind().to_owned())
+            }
+        };
+        match outcome {
             Ok(cell) => {
                 queue.publish_result(&desc.key, &cell);
-                report.cells_recomputed_inline += 1;
                 cells.push(cell);
             }
-            Err(e) => report.failed_cells.push(FailedCell {
+            Err(kind) => report.failed_cells.push(FailedCell {
                 key: desc.key.clone(),
-                kind: e.kind().to_owned(),
+                kind,
             }),
         }
     }

@@ -8,7 +8,8 @@
 //! ```text
 //! <root>/
 //!   manifest.json            what is being swept (seed, scale, grid, lease)
-//!   todo/<key>               unclaimed cells (content: the CellDesc)
+//!   todo/<key>               unclaimed cells (content: the cell's
+//!                            faults::CellCoord)
 //!   lease/<key>@<wid>@<ms>   claimed cells; mtime + embedded ms = deadline
 //!   done/<key>               completed cells (claim → done rename)
 //!   cells/                   runner checkpoint dir (<key>.json,
@@ -47,7 +48,7 @@
 //! kill-half-the-workers all serialize to identical bytes.
 
 use crate::common::Scale;
-use crate::faults::{cell_key, FaultCell, Grid};
+use crate::faults::{FaultCell, Grid};
 use crate::runner::note_degraded;
 use crate::snapfile;
 use perconf_bpred::atomic_write;
@@ -79,25 +80,11 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Cell descriptors in canonical grid order (estimator-major, then
-    /// benchmark, then rate) — the order every merge walks.
+    /// Cell descriptors in canonical grid order ([`Grid::cells`]) — the
+    /// order every merge walks.
     #[must_use]
     pub fn cells(&self) -> Vec<CellDesc> {
-        let mut out = Vec::with_capacity(self.grid.cell_count());
-        for est in &self.grid.estimators {
-            for bench in &self.grid.benchmarks {
-                for (ri, &rate) in self.grid.rates.iter().enumerate() {
-                    out.push(CellDesc {
-                        key: cell_key(self.seed, est, bench, ri),
-                        estimator: est.clone(),
-                        benchmark: bench.clone(),
-                        rate,
-                        rate_idx: ri,
-                    });
-                }
-            }
-        }
-        out
+        self.grid.cells(self.seed)
     }
 
     /// Reconstructs a descriptor from its key alone — the degraded
@@ -110,20 +97,9 @@ impl Manifest {
     }
 }
 
-/// One sweep cell as carried through the queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellDesc {
-    /// Canonical cell key ([`cell_key`]); also the queue filename.
-    pub key: String,
-    /// Estimator name.
-    pub estimator: String,
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Per-access fault rate.
-    pub rate: f64,
-    /// Index of `rate` in the grid's rate list (part of the seed).
-    pub rate_idx: usize,
-}
+/// One sweep cell as carried through the queue: the grid's own cell
+/// coordinate, so `todo/` and `done/` entries hold its JSON.
+pub use crate::faults::CellCoord as CellDesc;
 
 /// A successfully claimed cell: the descriptor plus the lease entry
 /// the claim created. Completion and heartbeats go through the lease

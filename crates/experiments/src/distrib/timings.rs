@@ -1,145 +1,60 @@
-//! Pacing knobs for the distributed sweep machinery, hoisted out of
-//! scattered hard-coded constants so slow CI runners (and the
-//! experiment server, which hosts sweeps in-process) can tune stall
-//! detection without tripping false-positive lease reaps.
+//! Pacing of the distributed sweep: lease heartbeats, poll intervals,
+//! queue-open retries and the respawn budget.
 //!
-//! Every field has an environment override (`PERCONF_DISTRIB_*`, see
-//! [`Timings::from_env`]); command-line flags — `repro sweep
-//! --lease-secs` — still win over the environment, which wins over the
-//! built-in defaults. Workers inherit the coordinator's environment,
-//! so one exported variable retunes the whole fleet coherently.
+//! Only the lease duration varies between runs: the coordinator takes
+//! it from [`SweepConfig::lease`](super::SweepConfig::lease) (`repro
+//! sweep --lease-secs`, default [`DEFAULT_LEASE`]) and writes it into
+//! the queue manifest, and workers heartbeat against the manifest's
+//! value. Everything else is a fixed constant.
 //!
 //! These values affect *scheduling only*. Cell bytes derive from
-//! `(seed, coordinates, scale)`; no timing knob can change the merged
+//! `(seed, coordinates, scale)`; no pacing value can change the merged
 //! sweep output, only how long it takes and how eagerly peers steal
 //! work from the apparently dead.
 
 use std::time::Duration;
 
-/// Pacing configuration for queue claims, lease heartbeats, fleet
-/// supervision and queue-open retries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Timings {
-    /// Lease duration: a claimed cell idle this long is requeued.
-    /// Flag override: `repro sweep --lease-secs`.
-    pub lease: Duration,
-    /// Heartbeat interval = `lease / heartbeat_divisor` (clamped to
-    /// [`heartbeat_floor`](Self::heartbeat_floor)). A divisor of 4
-    /// gives a lease 4 missed beats of slack before it is reaped.
-    pub heartbeat_divisor: u32,
-    /// Minimum heartbeat interval, so microscopic test leases do not
-    /// spin a thread at 100% touching mtimes.
-    pub heartbeat_floor: Duration,
-    /// Worker sleep between claim attempts while peers hold the
-    /// remaining leases.
-    pub claim_poll: Duration,
-    /// Coordinator sleep between fleet liveness checks.
-    pub supervise_poll: Duration,
-    /// Attempts a worker makes to open a queue the coordinator may not
-    /// have created yet.
-    pub open_retries: u32,
-    /// Delay between queue-open attempts.
-    pub open_retry_delay: Duration,
-    /// Backoff base for a worker's in-cell retry (doubles per retry).
-    pub cell_backoff: Duration,
-    /// Worker respawns allowed, as a multiple of the fleet size:
-    /// enough for every scripted chaos death plus real crashes, small
-    /// enough that a systematically crashing cell cannot fork-bomb.
-    pub respawn_budget_per_worker: u64,
-}
+/// Lease duration when none is configured: a claimed cell idle this
+/// long is requeued.
+pub const DEFAULT_LEASE: Duration = Duration::from_secs(30);
 
-impl Default for Timings {
-    fn default() -> Self {
-        Self {
-            lease: Duration::from_secs(30),
-            heartbeat_divisor: 4,
-            heartbeat_floor: Duration::from_millis(5),
-            claim_poll: Duration::from_millis(50),
-            supervise_poll: Duration::from_millis(30),
-            open_retries: 20,
-            open_retry_delay: Duration::from_millis(50),
-            cell_backoff: Duration::from_millis(100),
-            respawn_budget_per_worker: 4,
-        }
-    }
-}
+/// Heartbeat interval = `lease / HEARTBEAT_DIVISOR` (clamped to
+/// [`HEARTBEAT_FLOOR`]): a lease gets 4 missed beats of slack before it
+/// is reaped.
+const HEARTBEAT_DIVISOR: u32 = 4;
 
-impl Timings {
-    /// Defaults overridden by `PERCONF_DISTRIB_*` environment
-    /// variables:
-    ///
-    /// | variable | field | unit |
-    /// |---|---|---|
-    /// | `PERCONF_DISTRIB_LEASE_MS` | `lease` | ms |
-    /// | `PERCONF_DISTRIB_HEARTBEAT_DIVISOR` | `heartbeat_divisor` | — |
-    /// | `PERCONF_DISTRIB_HEARTBEAT_FLOOR_MS` | `heartbeat_floor` | ms |
-    /// | `PERCONF_DISTRIB_CLAIM_POLL_MS` | `claim_poll` | ms |
-    /// | `PERCONF_DISTRIB_SUPERVISE_POLL_MS` | `supervise_poll` | ms |
-    /// | `PERCONF_DISTRIB_OPEN_RETRIES` | `open_retries` | — |
-    /// | `PERCONF_DISTRIB_OPEN_RETRY_MS` | `open_retry_delay` | ms |
-    /// | `PERCONF_DISTRIB_CELL_BACKOFF_MS` | `cell_backoff` | ms |
-    /// | `PERCONF_DISTRIB_RESPAWN_BUDGET` | `respawn_budget_per_worker` | — |
-    ///
-    /// Unparseable or zero values warn on stderr and keep the default
-    /// (a mistyped variable must degrade to the stock pacing, never
-    /// wedge a sweep with a zero lease).
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
+/// Minimum heartbeat interval, so microscopic test leases do not spin a
+/// thread at 100% touching mtimes.
+const HEARTBEAT_FLOOR: Duration = Duration::from_millis(5);
 
-    /// [`from_env`](Self::from_env) with an injectable variable source,
-    /// so tests can exercise the parsing without racing on the
-    /// process-global environment.
-    #[must_use]
-    pub fn from_lookup<F: Fn(&str) -> Option<String>>(lookup: F) -> Self {
-        let mut t = Self::default();
-        let ms = |name: &str, slot: &mut Duration| {
-            if let Some(v) = parse_positive(&lookup, name) {
-                *slot = Duration::from_millis(v);
-            }
-        };
-        ms("PERCONF_DISTRIB_LEASE_MS", &mut t.lease);
-        ms("PERCONF_DISTRIB_HEARTBEAT_FLOOR_MS", &mut t.heartbeat_floor);
-        ms("PERCONF_DISTRIB_CLAIM_POLL_MS", &mut t.claim_poll);
-        ms("PERCONF_DISTRIB_SUPERVISE_POLL_MS", &mut t.supervise_poll);
-        ms("PERCONF_DISTRIB_OPEN_RETRY_MS", &mut t.open_retry_delay);
-        ms("PERCONF_DISTRIB_CELL_BACKOFF_MS", &mut t.cell_backoff);
-        if let Some(v) = parse_positive(&lookup, "PERCONF_DISTRIB_HEARTBEAT_DIVISOR") {
-            t.heartbeat_divisor = u32::try_from(v).unwrap_or(u32::MAX);
-        }
-        if let Some(v) = parse_positive(&lookup, "PERCONF_DISTRIB_OPEN_RETRIES") {
-            t.open_retries = u32::try_from(v).unwrap_or(u32::MAX);
-        }
-        if let Some(v) = parse_positive(&lookup, "PERCONF_DISTRIB_RESPAWN_BUDGET") {
-            t.respawn_budget_per_worker = v;
-        }
-        t
-    }
+/// Worker sleep between claim attempts while peers hold the remaining
+/// leases.
+pub(super) const CLAIM_POLL: Duration = Duration::from_millis(50);
 
-    /// The heartbeat interval keeping a lease of duration `lease`
-    /// alive: `lease / heartbeat_divisor`, floored. Takes the lease as
-    /// a parameter because workers heartbeat against the *manifest's*
-    /// lease (the coordinator's choice), not their own default.
-    #[must_use]
-    pub fn heartbeat_interval(&self, lease: Duration) -> Duration {
-        (lease / self.heartbeat_divisor.max(1)).max(self.heartbeat_floor)
-    }
-}
+/// Coordinator sleep between fleet liveness checks.
+pub(super) const SUPERVISE_POLL: Duration = Duration::from_millis(30);
 
-fn parse_positive<F: Fn(&str) -> Option<String>>(lookup: &F, name: &str) -> Option<u64> {
-    let raw = lookup(name)?;
-    match raw.trim().parse::<u64>() {
-        Ok(0) => {
-            eprintln!("warning: {name}=0 is not a usable pacing value; keeping the default");
-            None
-        }
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("warning: cannot parse {name}={raw:?}: {e}; keeping the default");
-            None
-        }
-    }
+/// Attempts a worker makes to open a queue the coordinator may not have
+/// created yet.
+pub(super) const OPEN_RETRIES: u32 = 20;
+
+/// Delay between queue-open attempts.
+pub(super) const OPEN_RETRY_DELAY: Duration = Duration::from_millis(50);
+
+/// Backoff base for a worker's in-cell retry (doubles per retry).
+pub(super) const CELL_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Worker respawns allowed, as a multiple of the fleet size: enough for
+/// every scripted chaos death plus real crashes, small enough that a
+/// systematically crashing cell cannot fork-bomb.
+pub(super) const RESPAWN_BUDGET_PER_WORKER: u64 = 4;
+
+/// The heartbeat interval keeping a lease of duration `lease` alive:
+/// `lease / HEARTBEAT_DIVISOR`, floored. Takes the lease as a parameter
+/// because workers heartbeat against the *manifest's* lease (the
+/// coordinator's choice).
+pub(super) fn heartbeat_interval(lease: Duration) -> Duration {
+    (lease / HEARTBEAT_DIVISOR).max(HEARTBEAT_FLOOR)
 }
 
 #[cfg(test)]
@@ -148,65 +63,32 @@ mod tests {
 
     #[test]
     fn defaults_match_the_historical_constants() {
-        let t = Timings::default();
-        assert_eq!(t.lease, Duration::from_secs(30));
-        assert_eq!(t.heartbeat_divisor, 4);
-        assert_eq!(t.heartbeat_floor, Duration::from_millis(5));
-        assert_eq!(t.claim_poll, Duration::from_millis(50));
-        assert_eq!(t.supervise_poll, Duration::from_millis(30));
-        assert_eq!(t.open_retries, 20);
-        assert_eq!(t.open_retry_delay, Duration::from_millis(50));
-        assert_eq!(t.cell_backoff, Duration::from_millis(100));
-        assert_eq!(t.respawn_budget_per_worker, 4);
-    }
-
-    #[test]
-    fn lookup_overrides_apply() {
-        let t = Timings::from_lookup(|k| match k {
-            "PERCONF_DISTRIB_LEASE_MS" => Some("250".to_owned()),
-            "PERCONF_DISTRIB_HEARTBEAT_DIVISOR" => Some("10".to_owned()),
-            "PERCONF_DISTRIB_CLAIM_POLL_MS" => Some("7".to_owned()),
-            "PERCONF_DISTRIB_RESPAWN_BUDGET" => Some("9".to_owned()),
-            _ => None,
-        });
-        assert_eq!(t.lease, Duration::from_millis(250));
-        assert_eq!(t.heartbeat_divisor, 10);
-        assert_eq!(t.claim_poll, Duration::from_millis(7));
-        assert_eq!(t.respawn_budget_per_worker, 9);
-        // Untouched fields keep their defaults.
-        assert_eq!(t.supervise_poll, Duration::from_millis(30));
-    }
-
-    #[test]
-    fn bad_values_degrade_to_defaults() {
-        let t = Timings::from_lookup(|k| match k {
-            "PERCONF_DISTRIB_LEASE_MS" => Some("not-a-number".to_owned()),
-            "PERCONF_DISTRIB_CLAIM_POLL_MS" => Some("0".to_owned()),
-            _ => None,
-        });
-        assert_eq!(t, Timings::default());
+        assert_eq!(DEFAULT_LEASE, Duration::from_secs(30));
+        assert_eq!(HEARTBEAT_DIVISOR, 4);
+        assert_eq!(HEARTBEAT_FLOOR, Duration::from_millis(5));
+        assert_eq!(CLAIM_POLL, Duration::from_millis(50));
+        assert_eq!(SUPERVISE_POLL, Duration::from_millis(30));
+        assert_eq!(OPEN_RETRIES, 20);
+        assert_eq!(OPEN_RETRY_DELAY, Duration::from_millis(50));
+        assert_eq!(CELL_BACKOFF, Duration::from_millis(100));
+        assert_eq!(RESPAWN_BUDGET_PER_WORKER, 4);
     }
 
     #[test]
     fn heartbeat_interval_divides_and_floors() {
-        let t = Timings::default();
         assert_eq!(
-            t.heartbeat_interval(Duration::from_secs(40)),
+            heartbeat_interval(Duration::from_secs(40)),
             Duration::from_secs(10)
+        );
+        // CI's 2 s chaos lease beats every 500 ms.
+        assert_eq!(
+            heartbeat_interval(Duration::from_secs(2)),
+            Duration::from_millis(500)
         );
         // Tiny lease clamps to the floor instead of busy-spinning.
         assert_eq!(
-            t.heartbeat_interval(Duration::from_millis(1)),
-            t.heartbeat_floor
-        );
-        // A zero divisor must not panic.
-        let z = Timings {
-            heartbeat_divisor: 0,
-            ..Timings::default()
-        };
-        assert_eq!(
-            z.heartbeat_interval(Duration::from_secs(8)),
-            Duration::from_secs(8)
+            heartbeat_interval(Duration::from_millis(1)),
+            HEARTBEAT_FLOOR
         );
     }
 }

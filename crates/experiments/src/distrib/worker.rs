@@ -5,11 +5,11 @@
 //!
 //! 1. [`reap`](Queue::reap) expired leases (so dead peers' cells come
 //!    back), then try to [`claim`](Queue::claim) a cell;
-//! 2. execute it on a one-job [`Scheduler`] — the same engine
-//!    (watchdog, retries, mid-cell `.part.psnap` checkpoints) the
-//!    single-process sweep uses, pointed at the queue's shared
-//!    `cells/` directory so an orphaned partial from a dead peer is
-//!    picked up by whoever claims the cell next;
+//! 2. execute it as [`cell_spec`] on a one-job [`Scheduler`] — the
+//!    same cell and engine (watchdog, retries, mid-cell `.part.psnap`
+//!    checkpoints) the single-process sweep uses, pointed at the
+//!    queue's shared `cells/` directory so an orphaned partial from a
+//!    dead peer is picked up by whoever claims the cell next;
 //! 3. heartbeat the lease from a side thread while the cell runs;
 //! 4. on success, [`complete`](Queue::complete) then
 //!    [`publish_result`](Queue::publish_result) — in that order: a
@@ -33,9 +33,11 @@
 //! deterministically.
 
 use super::queue::{CellDesc, Claim, Manifest, Queue};
-use super::timings::Timings;
-use crate::faults::{cell_seed, run_cell, FaultCell};
-use crate::runner::{partial_path, CellReport, CellSpec, RunnerConfig, Scheduler, SchedulerConfig};
+use super::timings::{
+    heartbeat_interval, CELL_BACKOFF, CLAIM_POLL, OPEN_RETRIES, OPEN_RETRY_DELAY,
+};
+use crate::faults::{cell_spec, FaultCell};
+use crate::runner::{partial_path, CellReport, RunnerConfig, Scheduler, SchedulerConfig};
 use perconf_faults::ChaosAction;
 use perconf_obs::{CounterSnapshot, Counters};
 use std::path::{Path, PathBuf};
@@ -59,23 +61,18 @@ pub struct WorkerConfig {
     pub worker_id: String,
     /// Chaos script: `(claim index, action)` pairs. Empty = run clean.
     pub script: Vec<(u64, ChaosAction)>,
-    /// Pacing (claim poll, heartbeat cadence, queue-open retries);
-    /// see [`Timings`]. The lease *duration* comes from the queue
-    /// manifest — the coordinator's choice — never from here.
-    pub timings: Timings,
     /// Per-attempt watchdog for cell execution (`None` waits forever).
     pub timeout: Option<Duration>,
 }
 
 impl WorkerConfig {
-    /// A clean (chaos-free) worker with default pacing.
+    /// A clean (chaos-free) worker without a cell watchdog.
     #[must_use]
     pub fn new(queue_root: PathBuf, worker_id: impl Into<String>) -> Self {
         Self {
             queue_root,
             worker_id: worker_id.into(),
             script: Vec::new(),
-            timings: Timings::from_env(),
             timeout: None,
         }
     }
@@ -156,12 +153,7 @@ pub(super) fn run_queued_cell(
     manifest: &Manifest,
     desc: &CellDesc,
 ) -> CellReport<FaultCell> {
-    let (bench, est) = (desc.benchmark.clone(), desc.estimator.clone());
-    let (rate, scale) = (desc.rate, manifest.scale);
-    let cs = cell_seed(manifest.seed, &bench, &est, desc.rate_idx);
-    let cell = CellSpec::new(desc.key.clone(), move |chk| {
-        run_cell(&bench, &est, rate, cs, scale, chk)
-    });
+    let cell = cell_spec(manifest.scale, manifest.seed, desc);
     let mut report = scheduler.run_cells(vec![cell]);
     report.cells.pop().expect("one cell in, one report out")
 }
@@ -180,16 +172,16 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
     // The coordinator creates the queue before spawning workers, but a
     // manually started worker may race it — retry briefly.
     let mut queue = Queue::open(&cfg.queue_root);
-    for _ in 0..cfg.timings.open_retries {
+    for _ in 0..OPEN_RETRIES {
         if queue.is_ok() {
             break;
         }
-        thread::sleep(cfg.timings.open_retry_delay);
+        thread::sleep(OPEN_RETRY_DELAY);
         queue = Queue::open(&cfg.queue_root);
     }
     let queue = queue?;
     let lease = Duration::from_millis(queue.manifest().lease_ms);
-    let heartbeat_every = cfg.timings.heartbeat_interval(lease);
+    let heartbeat_every = heartbeat_interval(lease);
     let manifest = queue.manifest().clone();
 
     let mut counters = Counters::new();
@@ -215,7 +207,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
             resume: true,
             timeout: cfg.timeout,
             retries: 1,
-            backoff: cfg.timings.cell_backoff,
+            backoff: CELL_BACKOFF,
             ..RunnerConfig::default()
         },
         jobs: 1,
@@ -232,7 +224,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
             }
             // Everything left is leased to peers; wait for them to
             // finish or for their leases to expire.
-            thread::sleep(cfg.timings.claim_poll);
+            thread::sleep(CLAIM_POLL);
             continue;
         };
         counters.counter("distrib", "cells_claimed", 1);

@@ -26,7 +26,7 @@
 //! loaded from checkpoints instead of recomputed, and `--jobs N` fans
 //! independent cells across worker threads. The sweep's output is
 //! byte-identical at any job count: cells are submitted and merged in
-//! canonical grid order ([`Grid`] iteration order), and every cell's
+//! canonical grid order ([`Grid::cells`]), and every cell's
 //! randomness derives from [`cell_seed`] — a pure function of the
 //! campaign seed and the cell coordinates, never of scheduling order.
 
@@ -34,7 +34,7 @@ use crate::common::{
     run_pipeline_checkpointed, run_pipeline_checkpointed_batch, trace_eval, trace_eval_each,
     BatchMember, Scale, TracePair,
 };
-use crate::runner::{BatchSpec, CellSpec, CellTiming, CheckpointCell, Scheduler};
+use crate::runner::{BatchSpec, CellSpec, CellTiming, CheckpointCell, Scheduler, SweepReport};
 use perconf_bpred::{baseline_bimodal_gshare, Bimodal, BranchPredictor, Gshare, Hybrid};
 use perconf_core::{
     FaultableEstimator, JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig,
@@ -61,7 +61,8 @@ pub const ESTIMATORS: [&str; 2] = ["perceptron", "jrs"];
 
 /// The (estimator × benchmark × rate) design space one sweep covers.
 /// Canonical cell order is estimator-major, then benchmark, then rate
-/// — the order [`cell_specs`] submits and every output reports in.
+/// — the order [`Grid::cells`] lists, every front end submits and
+/// every output reports in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Grid {
     /// Estimator names (see [`ESTIMATORS`]).
@@ -114,6 +115,46 @@ impl Grid {
             _ => None,
         }
     }
+
+    /// The grid's cells for campaign `seed`, in canonical order
+    /// (estimator, then benchmark, then rate): the one enumeration
+    /// `repro faults`, the distributed queue and the experiment server
+    /// all submit and merge in.
+    #[must_use]
+    pub fn cells(&self, seed: u64) -> Vec<CellCoord> {
+        let mut out = Vec::with_capacity(self.cell_count());
+        for est in &self.estimators {
+            for bench in &self.benchmarks {
+                for (ri, &rate) in self.rates.iter().enumerate() {
+                    out.push(CellCoord {
+                        key: cell_key(seed, est, bench, ri),
+                        estimator: est.clone(),
+                        benchmark: bench.clone(),
+                        rate,
+                        rate_idx: ri,
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// One sweep cell's place in its grid: its key and coordinates. It is
+/// also what a distributed queue's `todo/` and `done/` entries hold,
+/// so the field order is part of that on-disk format.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CellCoord {
+    /// Canonical cell key ([`cell_key`]); also the queue filename.
+    pub key: String,
+    /// Estimator name.
+    pub estimator: String,
+    /// Benchmark name.
+    pub benchmark: String,
+    /// Per-access fault rate.
+    pub rate: f64,
+    /// Index of `rate` in the grid's rate list (part of the seed).
+    pub rate_idx: usize,
 }
 
 /// One completed sweep cell.
@@ -198,9 +239,9 @@ pub fn cell_seed(seed: u64, bench: &str, estimator: &str, rate_idx: usize) -> u6
 /// Canonical checkpoint/queue key for one sweep cell. The campaign
 /// seed is part of the key so resuming (or a distributed queue) with a
 /// different `--seed` recomputes instead of serving another campaign's
-/// checkpoints. Shared by [`cell_specs`] and the
-/// [`distrib`](crate::distrib) queue so a worker's checkpoint files
-/// and the coordinator's result files always agree on names.
+/// checkpoints. [`Grid::cells`] names every cell with it, so a
+/// worker's checkpoint files, the coordinator's result files and the
+/// server's checkpoint directory always agree on names.
 #[must_use]
 pub fn cell_key(seed: u64, estimator: &str, bench: &str, rate_idx: usize) -> String {
     format!("faults-s{seed}-{estimator}-{bench}-r{rate_idx}")
@@ -363,14 +404,17 @@ pub fn run_cell(
     fault_cell((bench, estimator, rate), &cm, injected, sim)
 }
 
-/// One sweep-cell coordinate, resolved from the grid: everything
-/// [`run_cell`] needs except the checkpoint cell.
-#[derive(Debug, Clone)]
-struct CellCoord {
-    bench: String,
-    estimator: String,
-    rate: f64,
-    seed: u64,
+/// The scheduler cell computing `coord` of campaign `seed`: its key,
+/// its [`cell_seed`] and a [`run_cell`] call. `repro faults`, the
+/// distributed workers and the experiment server all run cells
+/// through it.
+#[must_use]
+pub fn cell_spec(scale: Scale, seed: u64, coord: &CellCoord) -> CellSpec<FaultCell> {
+    let cs = cell_seed(seed, &coord.benchmark, &coord.estimator, coord.rate_idx);
+    let c = coord.clone();
+    CellSpec::new(coord.key.clone(), move |chk: &CheckpointCell| {
+        run_cell(&c.benchmark, &c.estimator, c.rate, cs, scale, chk)
+    })
 }
 
 /// Computes a group of sweep cells: members that evaluate the same
@@ -382,21 +426,26 @@ struct CellCoord {
 ///
 /// `idxs` selects which members of `coords` to compute (the batch
 /// engine skips members served from final checkpoints); returns one
-/// [`FaultCell`] per requested index, in order.
+/// [`FaultCell`] per requested index, in order. Each member's seed is
+/// its [`cell_seed`] under campaign `seed`.
 fn run_cells_batched(
     coords: &[CellCoord],
     idxs: &[usize],
     cells: &[CheckpointCell],
     scale: Scale,
+    seed: u64,
 ) -> Vec<FaultCell> {
     let members: Vec<&CellCoord> = idxs.iter().map(|&i| &coords[i]).collect();
     let wls: Vec<WorkloadConfig> = members
         .iter()
-        .map(|c| perconf_workload::spec2000_config(&c.bench).expect("known benchmark"))
+        .map(|c| perconf_workload::spec2000_config(&c.benchmark).expect("known benchmark"))
         .collect();
     let cfgs: Vec<[FaultConfig; 2]> = members
         .iter()
-        .map(|c| fault_configs(c.rate, c.seed))
+        .map(|c| {
+            let cs = cell_seed(seed, &c.benchmark, &c.estimator, c.rate_idx);
+            fault_configs(c.rate, cs)
+        })
         .collect();
 
     // Trace-level legs: one pass per distinct workload, in
@@ -451,7 +500,7 @@ fn run_cells_batched(
         .zip(injected)
         .zip(sims)
         .map(|(((c, cm), injected), sim)| {
-            fault_cell((&c.bench, &c.estimator, c.rate), cm, injected, sim)
+            fault_cell((&c.benchmark, &c.estimator, c.rate), cm, injected, sim)
         })
         .collect()
 }
@@ -471,34 +520,16 @@ pub fn batch_specs(
     grid: &Grid,
     width: usize,
 ) -> Vec<BatchSpec<FaultCell>> {
-    let width = width.max(1);
-    let mut coords = Vec::with_capacity(grid.cell_count());
-    let mut keys = Vec::with_capacity(grid.cell_count());
-    for est in &grid.estimators {
-        for bench in &grid.benchmarks {
-            for (ri, &rate) in grid.rates.iter().enumerate() {
-                keys.push(cell_key(seed, est, bench, ri));
-                coords.push(CellCoord {
-                    bench: bench.clone(),
-                    estimator: est.clone(),
-                    rate,
-                    seed: cell_seed(seed, bench, est, ri),
-                });
-            }
-        }
-    }
-    let mut specs = Vec::new();
-    let mut start = 0;
-    while start < coords.len() {
-        let end = (start + width).min(coords.len());
-        let group: Vec<CellCoord> = coords[start..end].to_vec();
-        let group_keys: Vec<String> = keys[start..end].to_vec();
-        specs.push(BatchSpec::new(group_keys, move |idxs, cells| {
-            run_cells_batched(&group, idxs, cells, scale)
-        }));
-        start = end;
-    }
-    specs
+    grid.cells(seed)
+        .chunks(width.max(1))
+        .map(|group| {
+            let group = group.to_vec();
+            let keys = group.iter().map(|c| c.key.clone()).collect();
+            BatchSpec::new(keys, move |idxs, cells| {
+                run_cells_batched(&group, idxs, cells, scale, seed)
+            })
+        })
+        .collect()
 }
 
 /// [`run_grid`] with the cells' pipeline legs interleaved `width` at a
@@ -514,16 +545,7 @@ pub fn run_grid_batched(
     width: usize,
 ) -> (FaultTable, Vec<CellTiming>) {
     let report = scheduler.run_batches(batch_specs(scale, seed, grid, width));
-    let timings = report.timings();
-    let mut cells = Vec::new();
-    let mut failed = Vec::new();
-    for r in report.cells {
-        match r.outcome {
-            Ok(c) => cells.push(c),
-            Err(_) => failed.push(r.key),
-        }
-    }
-    (table_from_cells(seed, grid, cells, failed), timings)
+    table_from_report(seed, grid, report)
 }
 
 /// Builds the sweep's cell list in canonical grid order, ready for a
@@ -532,20 +554,10 @@ pub fn run_grid_batched(
 /// path the binaries use.
 #[must_use]
 pub fn cell_specs(scale: Scale, seed: u64, grid: &Grid) -> Vec<CellSpec<FaultCell>> {
-    let mut specs = Vec::with_capacity(grid.cell_count());
-    for est in &grid.estimators {
-        for bench in &grid.benchmarks {
-            for (ri, &rate) in grid.rates.iter().enumerate() {
-                let key = cell_key(seed, est, bench, ri);
-                let cs = cell_seed(seed, bench, est, ri);
-                let (b, e) = (bench.clone(), est.clone());
-                specs.push(CellSpec::new(key, move |chk: &CheckpointCell| {
-                    run_cell(&b, &e, rate, cs, scale, chk)
-                }));
-            }
-        }
-    }
-    specs
+    grid.cells(seed)
+        .iter()
+        .map(|c| cell_spec(scale, seed, c))
+        .collect()
 }
 
 /// Runs the resilience sweep, one scheduler cell per
@@ -561,6 +573,16 @@ pub fn run_grid(
     scheduler: &mut Scheduler,
 ) -> (FaultTable, Vec<CellTiming>) {
     let report = scheduler.run_cells(cell_specs(scale, seed, grid));
+    table_from_report(seed, grid, report)
+}
+
+/// The table and timing rows of a grid's scheduler report, which lists
+/// the cells in canonical order.
+fn table_from_report(
+    seed: u64,
+    grid: &Grid,
+    report: SweepReport<FaultCell>,
+) -> (FaultTable, Vec<CellTiming>) {
     let timings = report.timings();
     let mut cells = Vec::new();
     let mut failed = Vec::new();
@@ -676,9 +698,10 @@ impl FaultTable {
 
     /// Headline: confidence quality — PVN × Spec, the precision ×
     /// recall of flagged mispredictions — must fall monotonically
-    /// (within a small noise tolerance) for *both* estimators, and the
-    /// perceptron machine must additionally lose IPC monotonically and
-    /// strictly at the heaviest rate.
+    /// (within a small noise tolerance) for every estimator in the
+    /// table, and the perceptron machine, where the grid has one, must
+    /// additionally lose IPC monotonically and strictly at the heaviest
+    /// rate. A table without rows shows nothing and reads `false`.
     ///
     /// The JRS machine's IPC is deliberately excluded: upsets knock
     /// its resetting counters *off* zero, so faults shed low-
@@ -710,7 +733,8 @@ impl FaultTable {
                 && q[q.len() - 1] < q[0]
         });
         // A perceptron row without an IPC loss (no zero-rate cell to
-        // measure it against) cannot show the machine degrading.
+        // measure it against) cannot show the machine degrading; a grid
+        // without perceptron rows has no perceptron machine to judge.
         let perceptron_losses: Option<Vec<f64>> = self
             .rows
             .iter()
@@ -718,9 +742,12 @@ impl FaultTable {
             .map(|r| r.ipc_loss)
             .collect();
         let perceptron_ipc_falls = perceptron_losses.is_some_and(|ls| {
-            ls.len() >= 2 && ls.windows(2).all(|w| w[1] >= w[0] - IPC_TOL) && ls[ls.len() - 1] > 0.0
+            ls.is_empty()
+                || (ls.len() >= 2
+                    && ls.windows(2).all(|w| w[1] >= w[0] - IPC_TOL)
+                    && ls[ls.len() - 1] > 0.0)
         });
-        quality_falls && perceptron_ipc_falls
+        !estimators.is_empty() && quality_falls && perceptron_ipc_falls
     }
 }
 
@@ -860,6 +887,33 @@ mod tests {
         // JRS quality *improving* breaks it too.
         t.rows[3].spec = 60.0;
         assert!(!t.degrades_monotonically());
+    }
+
+    #[test]
+    fn headline_judges_jrs_only_grids_on_quality_alone() {
+        let row = |rate: f64, pvn: f64, spec: f64| FaultRow {
+            estimator: "jrs".to_owned(),
+            rate,
+            pvn,
+            spec,
+            miss_rate: 5.0,
+            ipc_loss: Some(-1.0),
+        };
+        let table = |rows: Vec<FaultRow>| FaultTable {
+            seed: 11,
+            rows,
+            cells: Vec::new(),
+            failed: Vec::new(),
+            counters: CounterSnapshot::default(),
+        };
+        // The `small` grid's shape: quality falls, the machine speeds up.
+        assert!(table(vec![row(0.0, 35.4, 50.8), row(1e-2, 35.2, 48.5)]).degrades_monotonically());
+        // Quality rising is no degradation.
+        assert!(!table(vec![row(0.0, 35.2, 48.5), row(1e-2, 35.4, 50.8)]).degrades_monotonically());
+        // One rate per estimator shows no trend at all.
+        assert!(!table(vec![row(1e-2, 35.2, 48.5)]).degrades_monotonically());
+        // Nor does a table without rows.
+        assert!(!table(Vec::new()).degrades_monotonically());
     }
 
     #[test]

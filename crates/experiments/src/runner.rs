@@ -649,8 +649,7 @@ pub fn partial_path(dir: &Path, key: &str) -> PathBuf {
 /// (`<dir>/<key>.json`). `None` when there is none; a corrupt file is
 /// discarded (warned, counted as degraded, deleted) so the cell
 /// recomputes.
-#[must_use]
-pub fn load_final_checkpoint<T: DeserializeOwned>(dir: &Path, key: &str) -> Option<T> {
+fn load_final_checkpoint<T: DeserializeOwned>(dir: &Path, key: &str) -> Option<T> {
     let path = cell_file(dir, key, FINAL);
     let text = std::fs::read_to_string(&path).ok()?;
     match serde_json::from_str(&text) {
@@ -668,11 +667,22 @@ pub fn load_final_checkpoint<T: DeserializeOwned>(dir: &Path, key: &str) -> Opti
     }
 }
 
-/// The error class (`RunError::kind`) of the failure marker a
-/// checkpoint directory holds for `key` (`<dir>/<key>.failed.json`):
-/// `None` without a marker, `"unknown"` for an unreadable one.
+/// What a checkpoint directory says about cell `key` when its result
+/// is nowhere else: the one recovery rule of the distributed merge and
+/// the server's degraded assembly.
+///
+/// * `Some(Ok)` — the final result (`<dir>/<key>.json`). A corrupt one
+///   is discarded (warned, counted as degraded, deleted) and the
+///   lookup falls through to the marker.
+/// * `Some(Err(kind))` — the error class ([`RunError::kind`]) of the
+///   failure marker (`<dir>/<key>.failed.json`), `"unknown"` for an
+///   unreadable marker: the cell spent its retry budget.
+/// * `None` — neither: the cell never finished an attempt here.
 #[must_use]
-pub fn failure_kind(dir: &Path, key: &str) -> Option<String> {
+pub fn recover<T: DeserializeOwned>(dir: &Path, key: &str) -> Option<Result<T, String>> {
+    if let Some(v) = load_final_checkpoint(dir, key) {
+        return Some(Ok(v));
+    }
     let path = cell_file(dir, key, FAILED);
     if !path.exists() {
         return None;
@@ -681,7 +691,7 @@ pub fn failure_kind(dir: &Path, key: &str) -> Option<String> {
         .ok()
         .and_then(|t| serde_json::from_str::<RunError>(&t).ok())
         .map_or_else(|| "unknown".to_owned(), |e| e.kind().to_owned());
-    Some(kind)
+    Some(Err(kind))
 }
 
 fn write_final_checkpoint<T: Serialize>(
@@ -1527,6 +1537,56 @@ mod tests {
         for (i, c) in second.cells.iter().enumerate() {
             assert_eq!(*c.outcome.as_ref().unwrap(), i as u64);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_reads_the_final_result_then_the_failure_marker() {
+        let dir = fresh_dir("recover");
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(recover::<u32>(&dir, "none"), None);
+
+        let cfg = RunnerConfig::resuming(&dir);
+        write_final_checkpoint(&cfg, "done", &7u32).unwrap();
+        assert_eq!(recover::<u32>(&dir, "done"), Some(Ok(7)));
+
+        write_failure_marker(&cfg, "failed", &RunError::Timeout { seconds: 1.0 });
+        assert_eq!(
+            recover::<u32>(&dir, "failed"),
+            Some(Err("timeout".to_owned()))
+        );
+
+        std::fs::write(cell_file(&dir, "garbled", FAILED), b"{not json").unwrap();
+        assert_eq!(
+            recover::<u32>(&dir, "garbled"),
+            Some(Err("unknown".to_owned()))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_discards_a_corrupt_final_result_and_falls_through() {
+        let dir = fresh_dir("recover-corrupt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = RunnerConfig::resuming(&dir);
+        let final_file = cell_file(&dir, "cell", FINAL);
+        std::fs::write(&final_file, b"{truncated").unwrap();
+        write_failure_marker(
+            &cfg,
+            "cell",
+            &RunError::Panic {
+                message: "boom".to_owned(),
+            },
+        );
+        let degraded = degraded_count();
+        assert_eq!(recover::<u32>(&dir, "cell"), Some(Err("panic".to_owned())));
+        assert!(!final_file.exists(), "the corrupt result is deleted");
+        assert!(degraded_count() > degraded, "and counted as degraded");
+        // Without a marker the same corruption leaves nothing to recover.
+        let solo = cell_file(&dir, "solo", FINAL);
+        std::fs::write(&solo, b"{truncated").unwrap();
+        assert_eq!(recover::<u32>(&dir, "solo"), None);
+        assert!(!solo.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

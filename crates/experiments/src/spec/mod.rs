@@ -521,15 +521,6 @@ fn get_pair_array(
 const KINDS: [&str; 5] = ["table2", "table4", "fig8", "fig9", "faults"];
 const SCALES: [&str; 3] = ["tiny", "quick", "full"];
 
-fn scale_by_name(name: &str) -> Option<Scale> {
-    match name {
-        "tiny" => Some(Scale::tiny()),
-        "quick" => Some(Scale::quick()),
-        "full" => Some(Scale::full()),
-        _ => None,
-    }
-}
-
 fn reject_duplicates(items: &[String], path: &str, src: &Src) -> Result<(), SpecError> {
     for (i, a) in items.iter().enumerate() {
         if items[i + 1..].contains(a) {
@@ -967,7 +958,7 @@ impl RunSpec {
     /// Only on internal inconsistency (every name was validated at
     /// parse time); callers can treat a failure as a bug.
     pub fn lower(&self) -> Result<Lowered, String> {
-        let scale = scale_by_name(&self.experiment.scale)
+        let scale = Scale::by_name(&self.experiment.scale)
             .ok_or_else(|| format!("unknown scale {}", self.experiment.scale))?;
         let resolve_benches = |names: Option<&Vec<String>>| -> Result<Vec<_>, String> {
             match names {

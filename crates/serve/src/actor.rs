@@ -8,11 +8,18 @@
 //! supervisor's restart-with-resume policy cheap: a restarted actor
 //! finds every finished cell in the cache or on disk and only pays
 //! for what the previous incarnation had not finished.
+//!
+//! It speaks the fault sweep's own cell vocabulary: the cells are
+//! `faults::Grid::cells`, each missing one runs as its own
+//! `faults::cell_spec` on the scheduler, and the degraded assembly
+//! reads the checkpoint directory through `runner::recover`, the rule
+//! the distributed merge uses too.
 
 use crate::api::ExperimentSpec;
 use crate::cache::CellCache;
-use perconf_experiments::faults::{self, FaultCell};
-use perconf_experiments::runner::{self, CellSpec, RunnerConfig, Scheduler, SchedulerConfig};
+use perconf_experiments::faults::{self, CellCoord, FaultCell};
+use perconf_experiments::runner::{self, RunnerConfig, Scheduler, SchedulerConfig, SweepReport};
+use perconf_experiments::Scale;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -55,34 +62,23 @@ pub struct ActorOutcome {
     pub failed_kinds: Vec<String>,
 }
 
-/// One cell's full identity within an experiment.
-struct CellId {
-    key: String,
-    digest: u64,
-    estimator: String,
-    bench: String,
-    rate: f64,
-    cell_seed: u64,
-}
-
-fn enumerate_cells(spec: &ExperimentSpec) -> Result<Vec<CellId>, String> {
-    let (scale, grid) = spec.resolve()?;
-    let mut ids = Vec::with_capacity(grid.cell_count());
-    for est in &grid.estimators {
-        for bench in &grid.benchmarks {
-            for (ri, &rate) in grid.rates.iter().enumerate() {
-                ids.push(CellId {
-                    key: faults::cell_key(spec.seed, est, bench, ri),
-                    digest: faults::cell_content_digest(spec.seed, scale, est, bench, ri, rate),
-                    estimator: est.clone(),
-                    bench: bench.clone(),
-                    rate,
-                    cell_seed: faults::cell_seed(spec.seed, bench, est, ri),
-                });
-            }
-        }
-    }
-    Ok(ids)
+/// The experiment's cells in canonical order, each with its cache key
+/// (`faults::cell_content_digest`).
+fn cells_of(spec: &ExperimentSpec, scale: Scale, grid: &faults::Grid) -> Vec<(CellCoord, u64)> {
+    grid.cells(spec.seed)
+        .into_iter()
+        .map(|c| {
+            let digest = faults::cell_content_digest(
+                spec.seed,
+                scale,
+                &c.estimator,
+                &c.benchmark,
+                c.rate_idx,
+                c.rate,
+            );
+            (c, digest)
+        })
+        .collect()
 }
 
 fn runner_config(cfg: &ActorConfig) -> RunnerConfig {
@@ -111,17 +107,16 @@ fn runner_config(cfg: &ActorConfig) -> RunnerConfig {
 /// Panics when the armed chaos kill fires, and propagates a poisoned
 /// cache mutex (a previous holder panicked mid-update).
 pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<ActorOutcome, String> {
-    let (_, grid) = cfg.spec.resolve()?;
-    let seed = cfg.spec.seed;
-    let ids = enumerate_cells(&cfg.spec)?;
+    let (scale, grid) = cfg.spec.resolve()?;
+    let ids = cells_of(&cfg.spec, scale, &grid);
     let mut cells: Vec<Option<FaultCell>> = ids.iter().map(|_| None).collect();
     let mut from_cache = 0u64;
 
     // Phase 1: serve whatever the content-addressed cache already has.
     {
         let mut c = cache.lock().expect("cache mutex poisoned");
-        for (i, id) in ids.iter().enumerate() {
-            if let Some(v) = c.get(id.digest) {
+        for (i, (_, digest)) in ids.iter().enumerate() {
+            if let Some(v) = c.get(*digest) {
                 match serde_json::from_value::<FaultCell>(&v) {
                     Ok(cell) => {
                         cells[i] = Some(cell);
@@ -132,8 +127,7 @@ pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<Act
                         // written by an older build): recompute and
                         // overwrite below.
                         eprintln!(
-                            "warning: cache entry {:016x} has stale shape ({e}); recomputing",
-                            id.digest
+                            "warning: cache entry {digest:016x} has stale shape ({e}); recomputing"
                         );
                     }
                 }
@@ -149,7 +143,7 @@ pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<Act
     if let Some(k) = cfg.kill_after {
         if k > 0 && missing.len() > k {
             let prefix = &missing[..k];
-            let report = compute_cells(cfg, &ids, prefix);
+            let report = compute_cells(cfg, scale, &ids, prefix);
             store_results(&ids, prefix, report, cache, &mut cells);
             panic!("chaos: scripted actor kill after {k} computed cell(s)");
         }
@@ -162,7 +156,7 @@ pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<Act
 
     // Phase 3: simulate what the cache could not serve.
     if !missing.is_empty() {
-        let report = compute_cells(cfg, &ids, &missing);
+        let report = compute_cells(cfg, scale, &ids, &missing);
         for (slot, cell_report) in missing.iter().zip(report.cells.iter()) {
             if cell_report.resumed {
                 resumed += 1;
@@ -173,7 +167,7 @@ pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<Act
                 resumed_mid_cell += 1;
             }
             if let Err(e) = &cell_report.outcome {
-                failed.push(ids[*slot].key.clone());
+                failed.push(ids[*slot].0.key.clone());
                 failed_kinds.push(e.kind().to_owned());
             }
         }
@@ -181,7 +175,7 @@ pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<Act
     }
 
     let done: Vec<FaultCell> = cells.into_iter().flatten().collect();
-    let table = faults::table_from_cells(seed, &grid, done, failed.clone());
+    let table = faults::table_from_cells(cfg.spec.seed, &grid, done, failed.clone());
     let table = serde_json::to_value(&table).map_err(|e| e.to_string())?;
     Ok(ActorOutcome {
         table,
@@ -194,10 +188,13 @@ pub fn run_experiment(cfg: &ActorConfig, cache: &Mutex<CellCache>) -> Result<Act
     })
 }
 
-/// Assembles the best table possible *without running anything*: cache
-/// entries plus final checkpoints from dead incarnations; cells with
-/// neither are reported failed. This is the supervisor's last resort
-/// when the restart budget is exhausted — degraded, never dropped.
+/// Assembles the best table possible *without running anything*. Per
+/// cell: the cache, then [`runner::recover`] on the checkpoint
+/// directory — a dead incarnation's final checkpoint is served (and
+/// cached), its failure marker lists the cell failed with the marker's
+/// kind — and `abandoned` when neither is on disk. This is the
+/// supervisor's last resort when the restart budget is exhausted —
+/// degraded, never dropped.
 ///
 /// # Errors
 ///
@@ -210,34 +207,39 @@ pub fn assemble_partial(
     cfg: &ActorConfig,
     cache: &Mutex<CellCache>,
 ) -> Result<ActorOutcome, String> {
-    let (_, grid) = cfg.spec.resolve()?;
-    let ids = enumerate_cells(&cfg.spec)?;
+    let (scale, grid) = cfg.spec.resolve()?;
     let mut cells: Vec<FaultCell> = Vec::new();
     let mut from_cache = 0u64;
     let mut resumed = 0u64;
     let mut failed = Vec::new();
     let mut failed_kinds = Vec::new();
     let mut c = cache.lock().expect("cache mutex poisoned");
-    for id in &ids {
+    for (coord, digest) in cells_of(&cfg.spec, scale, &grid) {
         if let Some(cell) = c
-            .get(id.digest)
+            .get(digest)
             .and_then(|v| serde_json::from_value::<FaultCell>(&v).ok())
         {
             cells.push(cell);
             from_cache += 1;
             continue;
         }
-        if let Some(cell) = runner::load_final_checkpoint::<FaultCell>(&cfg.checkpoint_dir, &id.key)
-        {
-            c.put(
-                id.digest,
-                &serde_json::to_value(&cell).unwrap_or(serde::Value::Null),
-            );
-            cells.push(cell);
-            resumed += 1;
-        } else {
-            failed.push(id.key.clone());
-            failed_kinds.push("abandoned".to_owned());
+        match runner::recover::<FaultCell>(&cfg.checkpoint_dir, &coord.key) {
+            Some(Ok(cell)) => {
+                c.put(
+                    digest,
+                    &serde_json::to_value(&cell).unwrap_or(serde::Value::Null),
+                );
+                cells.push(cell);
+                resumed += 1;
+            }
+            Some(Err(kind)) => {
+                failed.push(coord.key);
+                failed_kinds.push(kind);
+            }
+            None => {
+                failed.push(coord.key);
+                failed_kinds.push("abandoned".to_owned());
+            }
         }
     }
     drop(c);
@@ -254,25 +256,16 @@ pub fn assemble_partial(
     })
 }
 
+/// Runs the cells `idxs` of `ids`, one scheduler cell each.
 fn compute_cells(
     cfg: &ActorConfig,
-    ids: &[CellId],
+    scale: Scale,
+    ids: &[(CellCoord, u64)],
     idxs: &[usize],
-) -> perconf_experiments::runner::SweepReport<FaultCell> {
-    let (scale, _) = cfg
-        .spec
-        .resolve()
-        .expect("spec validated before compute_cells");
-    let specs: Vec<CellSpec<FaultCell>> = idxs
+) -> SweepReport<FaultCell> {
+    let specs = idxs
         .iter()
-        .map(|&i| {
-            let id = &ids[i];
-            let (bench, est) = (id.bench.clone(), id.estimator.clone());
-            let (rate, cs) = (id.rate, id.cell_seed);
-            CellSpec::new(id.key.clone(), move |chk| {
-                faults::run_cell(&bench, &est, rate, cs, scale, chk)
-            })
-        })
+        .map(|&i| faults::cell_spec(scale, cfg.spec.seed, &ids[i].0))
         .collect();
     let mut scheduler = Scheduler::new(SchedulerConfig {
         runner: runner_config(cfg),
@@ -284,9 +277,9 @@ fn compute_cells(
 /// Publishes a compute report's successful cells into the cache and
 /// the caller's slot table.
 fn store_results(
-    ids: &[CellId],
+    ids: &[(CellCoord, u64)],
     idxs: &[usize],
-    report: perconf_experiments::runner::SweepReport<FaultCell>,
+    report: SweepReport<FaultCell>,
     cache: &Mutex<CellCache>,
     cells: &mut [Option<FaultCell>],
 ) {
@@ -294,7 +287,7 @@ fn store_results(
     for (slot, cell_report) in idxs.iter().zip(report.cells) {
         if let Ok(cell) = cell_report.outcome {
             if let Ok(v) = serde_json::to_value(&cell) {
-                c.put(ids[*slot].digest, &v);
+                c.put(ids[*slot].1, &v);
             }
             cells[*slot] = Some(cell);
         }

@@ -29,17 +29,10 @@ impl ExperimentSpec {
     ///
     /// Returns a usage-style message for unknown scale or grid names.
     pub fn resolve(&self) -> Result<(Scale, faults::Grid), String> {
-        let scale = match self.scale.as_str() {
-            "quick" => Scale::quick(),
-            "tiny" => Scale::tiny(),
-            "full" => Scale::full(),
-            other => return Err(format!("unknown scale `{other}` (quick|tiny|full)")),
-        };
-        let grid = match self.grid.as_str() {
-            "small" => faults::Grid::small(),
-            "full" => faults::Grid::full(),
-            other => return Err(format!("unknown grid `{other}` (small|full)")),
-        };
+        let scale = Scale::by_name(&self.scale)
+            .ok_or_else(|| format!("unknown scale `{}` (quick|tiny|full)", self.scale))?;
+        let grid = faults::Grid::by_name(&self.grid)
+            .ok_or_else(|| format!("unknown grid `{}` (small|full)", self.grid))?;
         Ok((scale, grid))
     }
 

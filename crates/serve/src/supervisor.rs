@@ -17,8 +17,11 @@
 //! restarts. An abandoned incarnation is parked on the supervisor's
 //! zombie list and joined once it finishes. After the budget is
 //! spent the experiment is finalised *degraded*: a table assembled
-//! from cache entries and checkpoints, with unrecoverable cells in
-//! its `failed` list — never silently dropped.
+//! from cache entries and final checkpoints, with unrecoverable cells
+//! in its `failed` list — never silently dropped. A failed cell's kind
+//! is its failure marker's (`panic`, `timeout`, ...), read through
+//! `runner::recover` as the distributed merge reads it, and
+//! `abandoned` only when nothing is on disk for it.
 //!
 //! Accepted experiments persist as `pending/<id>.json` markers until
 //! they finalise, so a killed server's successor
