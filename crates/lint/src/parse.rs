@@ -23,6 +23,10 @@ pub struct FieldDef {
     /// from derived serialization (and so from
     /// `snapshot_serde_body!` coverage).
     pub serde_skip: bool,
+    /// The type's final segment when the type is a plain path
+    /// (`Context`, `crate::sim::Context`); `None` for generic, array,
+    /// reference and tuple types.
+    pub ty: Option<String>,
 }
 
 /// What kind of body a struct has.
@@ -47,6 +51,9 @@ pub struct StructDef {
     pub kind: StructKind,
     /// Named fields (empty unless [`StructKind::Named`]).
     pub fields: Vec<FieldDef>,
+    /// Whether a `#[derive(...)]` on the struct names `Serialize` or
+    /// `Deserialize`.
+    pub serde_derive: bool,
 }
 
 /// One `impl Snapshot for Target` block.
@@ -145,33 +152,91 @@ pub fn structs(toks: &[Tok]) -> Vec<StructDef> {
                 j += 1;
             }
         }
-        let def = match toks.get(j) {
+        let (kind, fields) = match toks.get(j) {
             Some(t) if t.is_punct('{') => {
                 let end = skip_balanced(toks, j, '{', '}');
-                StructDef {
-                    name,
-                    line,
-                    kind: StructKind::Named,
-                    fields: fields(&toks[j + 1..end.saturating_sub(1)]),
-                }
+                (
+                    StructKind::Named,
+                    fields(&toks[j + 1..end.saturating_sub(1)]),
+                )
             }
-            Some(t) if t.is_punct('(') => StructDef {
-                name,
-                line,
-                kind: StructKind::Tuple,
-                fields: Vec::new(),
-            },
-            _ => StructDef {
-                name,
-                line,
-                kind: StructKind::Unit,
-                fields: Vec::new(),
-            },
+            Some(t) if t.is_punct('(') => (StructKind::Tuple, Vec::new()),
+            _ => (StructKind::Unit, Vec::new()),
         };
-        out.push(def);
+        out.push(StructDef {
+            name,
+            line,
+            kind,
+            fields,
+            serde_derive: serde_derived(toks, i),
+        });
         i = j.max(i + 2);
     }
     out
+}
+
+/// Whether an attribute on the item whose keyword is `toks[kw]`
+/// derives `Serialize` or `Deserialize`: walks back over a `pub` or
+/// `pub(...)` visibility, then over the `#[...]` attributes above it.
+fn serde_derived(toks: &[Tok], kw: usize) -> bool {
+    let mut j = kw;
+    if j > 0 && toks[j - 1].is_punct(')') {
+        if let Some(open) = (0..j - 1).rev().find(|&k| toks[k].is_punct('(')) {
+            if open > 0 && toks[open - 1].is_ident("pub") {
+                j = open - 1;
+            }
+        }
+    } else if j > 0 && toks[j - 1].is_ident("pub") {
+        j -= 1;
+    }
+    while j > 0 && toks[j - 1].is_punct(']') {
+        let mut depth = 0i32;
+        let mut k = j - 1;
+        let open = loop {
+            if toks[k].is_punct(']') {
+                depth += 1;
+            } else if toks[k].is_punct('[') {
+                depth -= 1;
+                if depth == 0 {
+                    break k;
+                }
+            }
+            if k == 0 {
+                return false;
+            }
+            k -= 1;
+        };
+        if open == 0 || !toks[open - 1].is_punct('#') {
+            return false;
+        }
+        let attr = &toks[open + 1..j - 1];
+        if attr.first().is_some_and(|t| t.is_ident("derive"))
+            && attr
+                .iter()
+                .any(|t| t.is_ident("Serialize") || t.is_ident("Deserialize"))
+        {
+            return true;
+        }
+        j = open - 1;
+    }
+    false
+}
+
+/// The final segment of a plain-path type (`A` or `a::b::A`), else
+/// `None`.
+fn plain_path(ty: &[Tok]) -> Option<String> {
+    let last = ty.last().filter(|t| t.kind == TokKind::Ident)?;
+    let mut i = 0;
+    while i + 1 < ty.len() {
+        let sep = ty[i].kind == TokKind::Ident
+            && ty[i + 1].is_punct(':')
+            && ty.get(i + 2).is_some_and(|t| t.is_punct(':'));
+        if !sep {
+            return None;
+        }
+        i += 3;
+    }
+    Some(last.text.clone())
 }
 
 /// Parses the interior tokens of a named-struct body into fields.
@@ -215,16 +280,11 @@ fn fields(body: &[Tok]) -> Vec<FieldDef> {
         if name_tok.kind != TokKind::Ident || !body.get(i + 1).is_some_and(|t| t.is_punct(':')) {
             break;
         }
-        out.push(FieldDef {
-            name: name_tok.text.clone(),
-            line: name_tok.line,
-            col: name_tok.col,
-            serde_skip,
-        });
         i += 2;
         // Skip the type up to the field-separating comma at depth
         // zero. Inside a struct body every `<` opens a generic group
         // (expressions cannot appear), except the `>` of `->`.
+        let ty_start = i;
         let mut angle = 0i32;
         while i < body.len() {
             let t = &body[i];
@@ -242,11 +302,18 @@ fn fields(body: &[Tok]) -> Vec<FieldDef> {
                 i = skip_balanced(body, i, '{', '}');
                 continue;
             } else if t.is_punct(',') && angle == 0 {
-                i += 1;
                 break;
             }
             i += 1;
         }
+        out.push(FieldDef {
+            name: name_tok.text.clone(),
+            line: name_tok.line,
+            col: name_tok.col,
+            serde_skip,
+            ty: plain_path(&body[ty_start..i.min(body.len())]),
+        });
+        i += 1;
         if i >= body.len() {
             break;
         }
@@ -492,6 +559,25 @@ mod tests {
         assert_eq!(names, vec!["a", "b", "c", "d"]);
         assert!(s.fields[1].serde_skip);
         assert!(!s.fields[0].serde_skip);
+    }
+
+    #[test]
+    fn plain_path_field_types_and_serde_derives() {
+        let src = r#"
+            #[derive(Debug, Clone)]
+            pub struct Plain { a: Context, b: crate::sim::Context, c: Vec<Context>, d: [u8; 4] }
+            #[derive(Serialize, Deserialize)]
+            pub(crate) struct Derived { x: u32 }
+            #[derive(Debug)]
+            #[serde(default)]
+            struct Other;
+        "#;
+        let (toks, _) = lex(src);
+        let ss = structs(&toks);
+        let tys: Vec<_> = ss[0].fields.iter().map(|f| f.ty.as_deref()).collect();
+        assert_eq!(tys, [Some("Context"), Some("Context"), None, None]);
+        let derived: Vec<_> = ss.iter().map(|s| s.serde_derive).collect();
+        assert_eq!(derived, [false, true, false]);
     }
 
     #[test]

@@ -129,6 +129,25 @@ impl Index {
         }
         None
     }
+
+    /// The struct a field of type `ty` (declared in file `fi`) holds
+    /// by value, when that struct can only be persisted field by
+    /// field: it has named fields and no serialization of its own (no
+    /// `Snapshot` impl, no hand-written or derived
+    /// `Serialize`/`Deserialize`).
+    fn plain_struct(
+        &self,
+        files: &[SourceFile],
+        fi: usize,
+        ty: Option<&str>,
+    ) -> Option<(usize, &StructDef)> {
+        let ty = ty?;
+        let (sfi, def) = self.resolve(files, fi, ty)?;
+        let serializes_itself = def.serde_derive
+            || self.impls.iter().any(|(_, im)| im.target == ty)
+            || self.serde_cov.keys().any(|(_, t)| t == ty);
+        (def.kind == StructKind::Named && !serializes_itself).then_some((sfi, def))
+    }
 }
 
 /// Runs `snapshot-completeness` over every indexed impl.
@@ -144,16 +163,50 @@ pub fn snapshot_completeness(files: &[SourceFile], index: &Index, out: &mut Vec<
         if def.kind != StructKind::Named {
             continue;
         }
-        let struct_file = &files[struct_fi];
-        // A save/restore that delegates to a hand-written
-        // `Serialize::to_value` / `Deserialize::from_value` (the idiom
-        // generic types use, since the vendored derive cannot handle
-        // them) covers whatever the serialization body references.
-        let delegated = index.serde_cov.get(&(*impl_fi, im.target.clone()));
+        let fields = Fields {
+            files,
+            index,
+            im,
+            // A save/restore that delegates to a hand-written
+            // `Serialize::to_value` / `Deserialize::from_value` (the
+            // idiom generic types use, since the vendored derive
+            // cannot handle them) covers whatever the serialization
+            // body references.
+            delegated: index.serde_cov.get(&(*impl_fi, im.target.clone())),
+        };
+        fields.check(struct_fi, def, &mut Vec::new(), out);
+    }
+}
+
+/// One `Snapshot` impl's coverage, checked against a struct's fields.
+struct Fields<'a> {
+    files: &'a [SourceFile],
+    index: &'a Index,
+    im: &'a SnapshotImpl,
+    delegated: Option<&'a SerdeCoverage>,
+}
+
+impl Fields<'_> {
+    /// Checks every field of `def` (defined in file `fi`). A field
+    /// holding a plain struct (see [`Index::plain_struct`]) is
+    /// followed: its own fields are checked in its place, `via`
+    /// naming the path to them.
+    fn check(&self, fi: usize, def: &StructDef, via: &mut Vec<String>, out: &mut Vec<Finding>) {
+        let (im, delegated) = (self.im, self.delegated);
+        let struct_file = &self.files[fi];
         for field in &def.fields {
             if struct_file.is_transient(field.line)
                 || struct_file.allows(SNAPSHOT_COMPLETENESS, field.line)
             {
+                continue;
+            }
+            // A struct cannot hold itself by value; the depth cap only
+            // stops same-named types in different crates from cycling.
+            let nested = self.index.plain_struct(self.files, fi, field.ty.as_deref());
+            if let Some((nfi, nested)) = nested.filter(|_| via.len() < 8) {
+                via.push(format!("{}.{}", def.name, field.name));
+                self.check(nfi, nested, via, out);
+                via.pop();
                 continue;
             }
             let in_save = (im.serde_macro && !field.serde_skip)
@@ -174,14 +227,19 @@ pub fn snapshot_completeness(files: &[SourceFile], index: &Index, out: &mut Vec<
                 (true, false) => "restore_state",
                 (false, false) => "save_state, restore_state",
             };
+            let via = if via.is_empty() {
+                String::new()
+            } else {
+                format!(" (in `{}`)", via.join("` → `"))
+            };
             out.push(Finding {
                 rule: SNAPSHOT_COMPLETENESS,
                 file: struct_file.rel.clone(),
                 line: field.line,
                 col: field.col,
                 message: format!(
-                    "field `{}` of `{}` is not covered by Snapshot::{{{missing}}}",
-                    field.name, im.target,
+                    "field `{}` of `{}`{via} is not covered by Snapshot::{{{missing}}}",
+                    field.name, def.name,
                 ),
                 help: "reference the field in save_state and restore_state, or mark it \
                        `// lint: transient` with a reason (derived state, config constant, \

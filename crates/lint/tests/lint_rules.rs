@@ -50,6 +50,23 @@ fn snapshot_completeness_fires_on_fixture() {
 }
 
 #[test]
+fn snapshot_completeness_follows_a_plain_nested_struct() {
+    let a = analyze_fixture("snapshot_nested.rs");
+    // `theta` is reached through `Machine.core`; the derived `Stats`
+    // and the transient fields stay quiet.
+    assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
+    let f = &a.findings[0];
+    assert_eq!(f.rule, rules::SNAPSHOT_COMPLETENESS);
+    assert!(
+        f.message.contains("`theta` of `Core` (in `Machine.core`)"),
+        "{}",
+        f.message
+    );
+    assert!(f.message.contains("restore_state"));
+    assert!(!f.message.contains("save_state"));
+}
+
+#[test]
 fn snapshot_completeness_quiet_on_clean_fixture() {
     let a = analyze_fixture("snapshot_clean.rs");
     assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
@@ -218,31 +235,50 @@ fn fixtures_fire_every_shipped_rule() {
     assert_eq!(fired, all, "every shipped rule must have a firing fixture");
 }
 
+/// Analyzes a copy of the workspace file `rel` with every line
+/// containing `drop` removed.
+fn analyze_without_line(rel: &str, drop: &str) -> Analysis {
+    let src = std::fs::read_to_string(workspace_root().join(rel)).expect("mutation target exists");
+    assert!(
+        src.contains(drop),
+        "mutation target moved; update this test"
+    );
+    let mutated: String = src
+        .lines()
+        .filter(|l| !l.contains(drop))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let name = Path::new(rel).file_name().unwrap().to_string_lossy();
+    let dir = std::env::temp_dir().join(format!("perconf-lint-mut-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("mutated_{name}"));
+    std::fs::write(&path, mutated).unwrap();
+    let a = analyze_paths(std::slice::from_ref(&path), &Options::default()).unwrap();
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+    a
+}
+
+/// The snapshot-completeness findings on the workspace file `rel` as
+/// it is (ad-hoc scope still runs the other rules, so filter).
+fn snapshot_findings(rel: &str) -> Vec<perconf_lint::Finding> {
+    let a = analyze_paths(&[workspace_root().join(rel)], &Options::default()).unwrap();
+    a.findings
+        .into_iter()
+        .filter(|f| f.rule == rules::SNAPSHOT_COMPLETENESS)
+        .collect()
+}
+
 /// Mutation test: drop the `injected` line from the real hand-written
 /// `FaultPlan::restore_state` and the analyzer must catch the
 /// now-incomplete restore. This pins the property the rule exists
 /// for — a field forgotten on the restore path cannot slip through.
 #[test]
 fn mutated_restore_is_caught() {
-    let real = workspace_root().join("crates/faults/src/plan.rs");
-    let src = std::fs::read_to_string(&real).expect("plan.rs should exist");
-    let restore_line = "self.injected = f(state, \"injected\")?;";
-    assert!(
-        src.contains(restore_line),
-        "mutation target moved; update this test"
+    let a = analyze_without_line(
+        "crates/faults/src/plan.rs",
+        "self.injected = f(state, \"injected\")?;",
     );
-    let mutated: String = src
-        .lines()
-        .filter(|l| !l.contains(restore_line))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    let dir = std::env::temp_dir().join(format!("perconf-lint-mut-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("plan_mutated.rs");
-    std::fs::write(&path, mutated).unwrap();
-    let a = analyze_paths(std::slice::from_ref(&path), &Options::default()).unwrap();
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_dir(&dir).ok();
     let caught = a.findings.iter().any(|f| {
         f.rule == rules::SNAPSHOT_COMPLETENESS
             && f.message.contains("`injected`")
@@ -255,14 +291,31 @@ fn mutated_restore_is_caught() {
     );
 
     // Control: the unmutated file carries no snapshot-completeness
-    // finding (ad-hoc scope still runs the other rules, so filter).
-    let clean = analyze_paths(&[real], &Options::default()).unwrap();
-    assert!(
-        clean
-            .findings
-            .iter()
-            .all(|f| f.rule != rules::SNAPSHOT_COMPLETENESS),
-        "control failed: {:?}",
-        clean.findings
+    // finding.
+    let clean = snapshot_findings("crates/faults/src/plan.rs");
+    assert!(clean.is_empty(), "control failed: {clean:?}");
+}
+
+/// Mutation test through a nested struct: `Simulation` keeps its
+/// per-thread state in a `Context` field, which the rule must follow.
+/// Drop one per-context field from the real
+/// `Simulation::restore_state` and the analyzer must name it.
+#[test]
+fn mutated_per_context_restore_is_caught() {
+    let a = analyze_without_line(
+        "crates/pipeline/src/sim.rs",
+        "self.fetch_history = f(state, \"fetch_history\")?;",
     );
+    let caught = a.findings.iter().any(|f| {
+        f.rule == rules::SNAPSHOT_COMPLETENESS
+            && f.message.contains("`fetch_history` of `Context`")
+            && f.message.contains("restore_state")
+    });
+    assert!(
+        caught,
+        "dropping fetch_history from restore_state must be caught; findings: {:?}",
+        a.findings
+    );
+    let clean = snapshot_findings("crates/pipeline/src/sim.rs");
+    assert!(clean.is_empty(), "control failed: {clean:?}");
 }

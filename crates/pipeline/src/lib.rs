@@ -23,7 +23,11 @@
 //!   while `count >= threshold` (paper Figure 1), with configurable
 //!   estimator latency (§5.4.2);
 //! * **branch reversal**: strongly-low-confidence predictions are
-//!   inverted at fetch (§5.5).
+//!   inverted at fetch (§5.5);
+//! * a two-thread **SMT** core ([`SmtSimulation`]) on the same stages:
+//!   each thread gets half the ROB, load/store buffers and front end,
+//!   and the threads share the fetch port ([`FetchPolicy`]), the
+//!   scheduler windows, the execution units and the memory hierarchy.
 //!
 //! [`Simulation::run`] retires a requested number of correct-path uops
 //! and produces [`SimStats`]: fetched/executed/retired uop counts split
@@ -57,7 +61,6 @@ mod cache;
 mod config;
 mod energy;
 mod sim;
-mod smt;
 mod stats;
 
 pub use batch::BatchSim;
@@ -68,6 +71,5 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 /// so downstream crates can name its types without a separate
 /// dependency edge.
 pub use perconf_obs as obs;
-pub use sim::{Controller, SimError, Simulation};
-pub use smt::{FetchPolicy, SmtSimulation};
+pub use sim::{Controller, FetchPolicy, SimError, Simulation, SmtSimulation};
 pub use stats::SimStats;

@@ -11,6 +11,7 @@ use perconf_obs::{CounterSnapshot, Counters, Profiler, TraceEvent, Tracer};
 use perconf_workload::{Uop, UopKind, WorkloadConfig, WorkloadGenerator};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 
 /// The boxed predictor + estimator combination the simulator drives.
 ///
@@ -321,18 +322,57 @@ impl Arena {
     }
 }
 
-/// One simulated processor running one benchmark workload.
+/// Fetch arbitration between the two threads of an [`SmtSimulation`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum FetchPolicy {
+    /// Strict alternation between ready threads.
+    #[default]
+    RoundRobin,
+    /// ICOUNT (Tullsen): fetch for the thread with fewer uops in
+    /// flight, favouring fast-moving threads.
+    Icount,
+}
+
+/// A context's share of the structures an SMT core splits between its
+/// threads: all of each on a one-context machine, half on an SMT pair.
+#[derive(Debug, Clone, Copy)]
+struct Partition {
+    rob: usize,
+    ldq: usize,
+    stq: usize,
+    frontend: usize,
+    /// ORed into every memory address, so each context's addresses
+    /// are its own slice of the physical space (a simple ASID model).
+    tag: u64,
+}
+
+impl Partition {
+    /// Context `id`'s share of `cfg` split `contexts` ways.
+    fn new(cfg: &PipelineConfig, contexts: usize, id: u64) -> Self {
+        Self {
+            rob: cfg.rob_size / contexts,
+            ldq: cfg.load_buffers / contexts,
+            stq: cfg.store_buffers / contexts,
+            frontend: cfg.frontend_capacity() / contexts,
+            tag: id << 40,
+        }
+    }
+}
+
+/// One hardware context: a thread's workload and controller, and every
+/// pipeline structure it owns — front end, ROB, scheduler state, gate
+/// and statistics. The cycle stages are its methods. What an SMT core
+/// shares between contexts (the memory hierarchy, one cycle's
+/// execution units, the scheduler windows) comes in as arguments, so
+/// [`Simulation`] and [`SmtSimulation`] run the same stages.
 ///
-/// Construct with a [`PipelineConfig`], a workload configuration, and
-/// a [`Controller`] (branch predictor + confidence estimator); then
-/// [`warmup`](Self::warmup) and [`run`](Self::run).
-///
-/// See the crate docs for the modelled microarchitecture.
-pub struct Simulation {
+/// `pub` only because `Simulation` derefs to it; the crate does not
+/// export it.
+pub struct Context {
     cfg: PipelineConfig,
+    part: Partition, // lint: transient — derived from cfg and the context count
     gen: WorkloadGenerator,
     ctl: Controller,
-    mem: MemHierarchy,
     arena: Arena, // lint: transient — uop storage; contents rebuilt on restore
     /// Front-end pipe, oldest first — arena slot indices.
     frontend: VecDeque<u32>,
@@ -382,12 +422,26 @@ pub struct Simulation {
     // --- observability (derived outputs; deliberately excluded from
     // snapshots and digests — the simulator never reads them back, so
     // a traced run is bit-identical to an untraced one) ---
-    tracer: Tracer,     // lint: transient — observability, never read back
-    profiler: Profiler, // lint: transient — observability, never read back
+    tracer: Tracer, // lint: transient — observability, never read back
     /// Cycles of the gate stall currently in progress, for pairing
     /// `GateStallBegin`/`GateStallEnd` trace events. Only advances
     /// while the tracer is enabled.
     gate_streak: u64, // lint: transient — observability, never read back
+}
+
+/// One simulated processor running one benchmark workload: the memory
+/// hierarchy, and one hardware context with the whole machine to
+/// itself.
+///
+/// Construct with a [`PipelineConfig`], a workload configuration, and
+/// a [`Controller`] (branch predictor + confidence estimator); then
+/// [`warmup`](Self::warmup) and [`run`](Self::run).
+///
+/// See the crate docs for the modelled microarchitecture.
+pub struct Simulation {
+    mem: MemHierarchy,
+    ctx: Context,
+    profiler: Profiler, // lint: transient — observability, never read back
 }
 
 impl std::fmt::Debug for Simulation {
@@ -401,47 +455,39 @@ impl std::fmt::Debug for Simulation {
     }
 }
 
+/// A one-context machine reads as its context.
+impl Deref for Simulation {
+    type Target = Context;
+
+    fn deref(&self) -> &Context {
+        &self.ctx
+    }
+}
+
+impl DerefMut for Simulation {
+    fn deref_mut(&mut self) -> &mut Context {
+        &mut self.ctx
+    }
+}
+
+/// The paper's baseline bimodal–gshare predictor with a no-op
+/// (always-high) estimator.
+fn default_controller() -> Controller {
+    SpeculationController::new(
+        Box::new(perconf_bpred::baseline_bimodal_gshare()) as Box<dyn SimPredictor>,
+        Box::new(AlwaysHigh) as Box<dyn SimEstimator>,
+    )
+}
+
 impl Simulation {
     /// Builds a simulation of `cfg` running `workload` under the given
     /// predictor/estimator controller.
     #[must_use]
     pub fn new(cfg: PipelineConfig, workload: &WorkloadConfig, ctl: Controller) -> Self {
-        let mut stats = SimStats::default();
-        if let Some((lo, hi, bin)) = cfg.density {
-            stats.density = Some(DensityPair::new(lo, hi, bin));
-        }
-        let inflight_cap = cfg.frontend_capacity() + cfg.rob_size + 8;
         Self {
-            gen: WorkloadGenerator::new(workload),
-            ctl,
             mem: MemHierarchy::new(cfg.mem),
-            arena: Arena::with_capacity(inflight_cap),
-            frontend: VecDeque::with_capacity(cfg.frontend_capacity() + 8),
-            rob: VecDeque::with_capacity(cfg.rob_size + 8),
-            ready: Vec::with_capacity(cfg.rob_size + 8),
-            waiters: vec![Vec::new(); WAIT_SLOTS],
-            complete_ring: vec![Vec::new(); COMPLETE_RING],
-            complete_far: Vec::new(),
-            status: vec![FREE_SLOT; STATUS_WINDOW],
-            cp_ring: [u64::MAX; CP_RING],
-            cp_index: 0,
-            gate: GateCounter::new(cfg.gating.map_or(1, |g| g.counter_threshold)),
-            gate_pending: VecDeque::new(),
-            gate_counted: BTreeSet::new(),
-            fetch_history: 0,
-            wrong_path_since: None,
-            restore_history: 0,
-            redirect_until: 0,
-            now: 0,
-            next_seq: 0,
-            sched_occ: [0; 3],
-            ldq_occ: 0,
-            stq_occ: 0,
-            cfg,
-            stats,
-            tracer: Tracer::new(),
+            ctx: Context::new(cfg, workload, ctl, Partition::new(&cfg, 1, 0)),
             profiler: Profiler::default(),
-            gate_streak: 0,
         }
     }
 
@@ -449,11 +495,7 @@ impl Simulation {
     /// predictor and a no-op (always-high) estimator.
     #[must_use]
     pub fn with_defaults(cfg: PipelineConfig, workload: &WorkloadConfig) -> Self {
-        let ctl = SpeculationController::new(
-            Box::new(perconf_bpred::baseline_bimodal_gshare()) as Box<dyn SimPredictor>,
-            Box::new(AlwaysHigh) as Box<dyn SimEstimator>,
-        );
-        Self::new(cfg, workload, ctl)
+        Self::new(cfg, workload, default_controller())
     }
 
     /// The statistics accumulated so far.
@@ -635,10 +677,7 @@ impl Simulation {
     /// Propagates [`SimError`] like [`try_run`](Self::try_run).
     pub fn try_warmup(&mut self, uops: u64) -> Result<(), SimError> {
         self.try_run(uops)?;
-        self.stats.reset();
-        if let Some((lo, hi, bin)) = self.cfg.density {
-            self.stats.density = Some(DensityPair::new(lo, hi, bin));
-        }
+        self.reset_stats();
         Ok(())
     }
 
@@ -661,66 +700,19 @@ impl Simulation {
     /// Returns a [`SimError`] when an internal invariant breaks this
     /// cycle (checked in release builds too).
     pub fn try_step(&mut self) -> Result<(), SimError> {
-        // One flag load per cycle picks the stage sequence: the
-        // profiled variant pays a scope guard per stage, the plain one
-        // is byte-for-byte the uninstrumented loop. Splitting here
-        // (rather than relying on per-scope disabled checks) keeps the
-        // profiler's cost out of the hot path entirely when it is off.
-        if self.profiler.enabled() {
-            self.try_step_profiled()
+        // One flag load per cycle picks the instantiation: the
+        // profiled one pays a scope guard per stage, the plain one
+        // (whose spans are `()`) is byte-for-byte the uninstrumented
+        // loop. Splitting here (rather than relying on per-scope
+        // disabled checks) keeps the profiler's cost out of the hot
+        // path entirely when it is off, and one body keeps the two in
+        // lockstep.
+        let (c, mem, p) = (&mut self.ctx, &mut self.mem, &self.profiler);
+        if p.enabled() {
+            c.cycle(mem, |stage| p.scope(stage))
         } else {
-            self.now += 1;
-            self.stats.rob_occupancy_sum += self.rob.len() as u64;
-            self.retire();
-            self.complete_and_resolve();
-            self.issue();
-            self.dispatch();
-            if self.rob.len() > self.cfg.rob_size {
-                return Err(SimError::RobOverflow {
-                    len: self.rob.len(),
-                    cap: self.cfg.rob_size,
-                });
-            }
-            self.fetch()?;
-            self.stats.cycles += 1;
-            Ok(())
+            c.cycle(mem, |_| ())
         }
-    }
-
-    /// [`try_step`](Self::try_step) with a profiling span around each
-    /// stage. Must stay in lockstep with the plain sequence above —
-    /// the `observability_never_perturbs_the_run` test pins that.
-    fn try_step_profiled(&mut self) -> Result<(), SimError> {
-        self.now += 1;
-        self.stats.rob_occupancy_sum += self.rob.len() as u64;
-        {
-            let _s = self.profiler.scope("sim/retire");
-            self.retire();
-        }
-        {
-            let _s = self.profiler.scope("sim/complete_resolve");
-            self.complete_and_resolve();
-        }
-        {
-            let _s = self.profiler.scope("sim/issue");
-            self.issue();
-        }
-        {
-            let _s = self.profiler.scope("sim/dispatch");
-            self.dispatch();
-        }
-        if self.rob.len() > self.cfg.rob_size {
-            return Err(SimError::RobOverflow {
-                len: self.rob.len(),
-                cap: self.cfg.rob_size,
-            });
-        }
-        {
-            let _s = self.profiler.scope("sim/fetch");
-            self.fetch()?;
-        }
-        self.stats.cycles += 1;
-        Ok(())
     }
 
     /// Advances one cycle.
@@ -732,6 +724,112 @@ impl Simulation {
         if let Err(e) = self.try_step() {
             panic!("{e}");
         }
+    }
+}
+
+impl Context {
+    fn new(
+        cfg: PipelineConfig,
+        workload: &WorkloadConfig,
+        ctl: Controller,
+        part: Partition,
+    ) -> Self {
+        let mut ctx = Self {
+            gen: WorkloadGenerator::new(workload),
+            ctl,
+            arena: Arena::with_capacity(part.frontend + part.rob + 8),
+            frontend: VecDeque::with_capacity(part.frontend + 8),
+            rob: VecDeque::with_capacity(part.rob + 8),
+            ready: Vec::with_capacity(part.rob + 8),
+            waiters: vec![Vec::new(); WAIT_SLOTS],
+            complete_ring: vec![Vec::new(); COMPLETE_RING],
+            complete_far: Vec::new(),
+            status: vec![FREE_SLOT; STATUS_WINDOW],
+            cp_ring: [u64::MAX; CP_RING],
+            cp_index: 0,
+            gate: GateCounter::new(cfg.gating.map_or(1, |g| g.counter_threshold)),
+            gate_pending: VecDeque::new(),
+            gate_counted: BTreeSet::new(),
+            fetch_history: 0,
+            wrong_path_since: None,
+            restore_history: 0,
+            redirect_until: 0,
+            now: 0,
+            next_seq: 0,
+            sched_occ: [0; 3],
+            ldq_occ: 0,
+            stq_occ: 0,
+            stats: SimStats::default(),
+            tracer: Tracer::new(),
+            gate_streak: 0,
+            cfg,
+            part,
+        };
+        ctx.reset_stats();
+        ctx
+    }
+
+    /// Clears the statistics, keeping the density histograms the
+    /// config asks for.
+    fn reset_stats(&mut self) {
+        self.stats.reset();
+        if let Some((lo, hi, bin)) = self.cfg.density {
+            self.stats.density = Some(DensityPair::new(lo, hi, bin));
+        }
+    }
+
+    /// One cycle's execution units: int, mem, fp.
+    fn units(&self) -> [u32; 3] {
+        [self.cfg.units_int, self.cfg.units_mem, self.cfg.units_fp]
+    }
+
+    /// Opens a cycle.
+    fn tick(&mut self) {
+        self.now += 1;
+        self.stats.rob_occupancy_sum += self.rob.len() as u64;
+    }
+
+    /// One cycle on a machine the context has to itself, with a
+    /// `span` open around each stage.
+    fn cycle<S>(
+        &mut self,
+        mem: &mut MemHierarchy,
+        span: impl Fn(&'static str) -> S,
+    ) -> Result<(), SimError> {
+        self.tick();
+        {
+            let _s = span("sim/retire");
+            self.retire();
+        }
+        {
+            let _s = span("sim/complete_resolve");
+            self.complete_and_resolve();
+        }
+        {
+            let _s = span("sim/issue");
+            self.issue(mem, &mut self.units());
+        }
+        {
+            let _s = span("sim/dispatch");
+            self.dispatch([0; 3]);
+        }
+        self.check_rob()?;
+        {
+            let _s = span("sim/fetch");
+            self.fetch()?;
+        }
+        self.stats.cycles += 1;
+        Ok(())
+    }
+
+    fn check_rob(&self) -> Result<(), SimError> {
+        if self.rob.len() > self.part.rob {
+            return Err(SimError::RobOverflow {
+                len: self.rob.len(),
+                cap: self.part.rob,
+            });
+        }
+        Ok(())
     }
 
     // ----- pipeline stages (back to front) --------------------------
@@ -951,7 +1049,9 @@ impl Simulation {
         self.arena.remove(i);
     }
 
-    fn issue(&mut self) {
+    /// Issues ready uops into the units left in this cycle's `avail`
+    /// (int, mem, fp), which an SMT pair's contexts draw on in turn.
+    fn issue(&mut self, mem: &mut MemHierarchy, avail: &mut [u32; 3]) {
         // Walk only the *ready* entries, in seq order — the old full
         // ROB scan skipped issued entries and kept deps-pending ones
         // anyway, and readiness is monotone, so the entries it would
@@ -968,13 +1068,12 @@ impl Simulation {
         // Wakeups and dispatches append out of program order; the
         // list is near-sorted, which pdqsort handles in ~one pass.
         self.ready.sort_unstable_by_key(|e| e.seq);
-        let mut avail = [self.cfg.units_int, self.cfg.units_mem, self.cfg.units_fp];
         let now = self.now;
         let len = self.ready.len();
         let mut r = 0;
         let mut w = 0;
         while r < len {
-            if avail == [0, 0, 0] {
+            if *avail == [0, 0, 0] {
                 break;
             }
             let ent = self.ready[r];
@@ -995,12 +1094,12 @@ impl Simulation {
                 UopKind::Fp => 4,
                 UopKind::Store => {
                     let m = self.arena.uop[i].mem.expect("store has address");
-                    self.mem.store(m.addr);
+                    mem.store(m.addr | self.part.tag);
                     1
                 }
                 UopKind::Load => {
                     let m = self.arena.uop[i].mem.expect("load has address");
-                    self.mem.load(m.addr)
+                    mem.load(m.addr | self.part.tag)
                 }
             };
             debug_assert!(latency >= 1, "zero-latency issue would miss its bucket");
@@ -1024,14 +1123,17 @@ impl Simulation {
         self.ready.truncate(w);
     }
 
-    fn dispatch(&mut self) {
+    /// Moves front-end uops into the ROB and scheduler. The scheduler
+    /// windows are shared: `other_sched` is the occupancy of an SMT
+    /// sibling (zero on a one-context machine).
+    fn dispatch(&mut self, other_sched: [usize; 3]) {
         let mut n = 0;
         while n < self.cfg.width {
             let Some(&hi) = self.frontend.front() else {
                 break;
             };
             let h = hi as usize;
-            if self.arena.arrival[h] > self.now || self.rob.len() >= self.cfg.rob_size {
+            if self.arena.arrival[h] > self.now || self.rob.len() >= self.part.rob {
                 break;
             }
             let kind = self.arena.kind[h];
@@ -1041,12 +1143,12 @@ impl Simulation {
                 Class::Mem => self.cfg.sched_mem,
                 Class::Fp => self.cfg.sched_fp,
             };
-            if self.sched_occ[c as usize] >= sched_cap {
+            if self.sched_occ[c as usize] + other_sched[c as usize] >= sched_cap {
                 break;
             }
             match kind {
-                UopKind::Load if self.ldq_occ >= self.cfg.load_buffers => break,
-                UopKind::Store if self.stq_occ >= self.cfg.store_buffers => break,
+                UopKind::Load if self.ldq_occ >= self.part.ldq => break,
+                UopKind::Store if self.stq_occ >= self.part.stq => break,
                 _ => {}
             }
             self.frontend.pop_front();
@@ -1069,13 +1171,15 @@ impl Simulation {
         }
     }
 
+    /// Fetch on a machine the context has to itself: a redirect or the
+    /// gate stalls it, otherwise it fetches.
     fn fetch(&mut self) -> Result<(), SimError> {
         self.apply_pending_gate_increments();
         if self.now < self.redirect_until {
             self.stats.redirect_cycles += 1;
             return Ok(());
         }
-        if self.cfg.gating.is_some() && self.gate.should_gate() {
+        if self.gated() {
             self.stats.gated_cycles += 1;
             if self.tracer.enabled() {
                 if self.gate_streak == 0 {
@@ -1093,8 +1197,18 @@ impl Simulation {
             });
             self.gate_streak = 0;
         }
+        self.fetch_uops()
+    }
+
+    /// Whether the gate stalls this context's fetch.
+    fn gated(&self) -> bool {
+        self.cfg.gating.is_some() && self.gate.should_gate()
+    }
+
+    /// Fetches up to a cycle's width of uops into the front end.
+    fn fetch_uops(&mut self) -> Result<(), SimError> {
         for _ in 0..self.cfg.width {
-            if self.frontend.len() >= self.cfg.frontend_capacity() {
+            if self.frontend.len() >= self.part.frontend {
                 break;
             }
             let wrong = self.wrong_path_since.is_some();
@@ -1389,6 +1503,208 @@ impl Simulation {
         self.rob = rob_idx.into_iter().collect();
         self.frontend = fr_idx.into_iter().collect();
         self.rebuild_derived();
+    }
+}
+
+/// A two-thread SMT processor: the paper's §1 motivation made concrete
+/// — *"the mis-speculative execution consumes resources that could
+/// have been allocated to useful work, such as another thread on a
+/// multithreaded processor"* (citing Luo et al., "Boosting SMT
+/// Performance by Speculation Control").
+///
+/// Each thread is a hardware context of the engine [`Simulation`]
+/// runs, with its own front end, ROB half, load/store buffer halves,
+/// branch predictor, confidence estimator and gate counter. The threads
+/// share the memory hierarchy (in disjoint address spaces), the
+/// scheduler windows, the execution units (first pick alternates each
+/// cycle) and the fetch port: one thread fetches per cycle, chosen by
+/// the [`FetchPolicy`]. When pipeline gating stalls one thread's fetch,
+/// the *other thread takes the slot* — so an accurate confidence
+/// estimator turns one thread's wrong-path work directly into the other
+/// thread's throughput.
+///
+/// # Examples
+///
+/// ```no_run
+/// use perconf_pipeline::{PipelineConfig, SmtSimulation, FetchPolicy, Simulation};
+/// use perconf_workload::spec2000_config;
+///
+/// let a = spec2000_config("gzip").unwrap();
+/// let b = spec2000_config("mcf").unwrap();
+/// let mut smt = SmtSimulation::with_defaults(
+///     PipelineConfig::deep(),
+///     FetchPolicy::Icount,
+///     &a,
+///     &b,
+/// );
+/// smt.run_cycles(100_000);
+/// println!("combined IPC: {:.2}", smt.combined_ipc());
+/// ```
+pub struct SmtSimulation {
+    policy: FetchPolicy,
+    mem: MemHierarchy,
+    ctx: [Context; 2],
+    /// The thread round-robin fetch picked last.
+    last_fetched: usize,
+}
+
+impl std::fmt::Debug for SmtSimulation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SmtSimulation")
+            .field("cycle", &self.ctx[0].now)
+            .field("retired0", &self.ctx[0].stats.retired)
+            .field("retired1", &self.ctx[1].stats.retired)
+            .finish_non_exhaustive()
+    }
+}
+
+impl SmtSimulation {
+    /// Builds an SMT pair from per-thread controllers. Per-thread ROB,
+    /// load/store buffers and front-end capacity are half of `cfg`'s;
+    /// scheduler windows, execution units, fetch bandwidth and the
+    /// memory hierarchy are shared.
+    #[must_use]
+    pub fn new(
+        cfg: PipelineConfig,
+        policy: FetchPolicy,
+        a: (&WorkloadConfig, Controller),
+        b: (&WorkloadConfig, Controller),
+    ) -> Self {
+        Self {
+            policy,
+            mem: MemHierarchy::new(cfg.mem),
+            ctx: [
+                Context::new(cfg, a.0, a.1, Partition::new(&cfg, 2, 0)),
+                Context::new(cfg, b.0, b.1, Partition::new(&cfg, 2, 1)),
+            ],
+            last_fetched: 1,
+        }
+    }
+
+    /// Builds an SMT pair with the default predictor and no estimator
+    /// on both threads.
+    #[must_use]
+    pub fn with_defaults(
+        cfg: PipelineConfig,
+        policy: FetchPolicy,
+        a: &WorkloadConfig,
+        b: &WorkloadConfig,
+    ) -> Self {
+        Self::new(
+            cfg,
+            policy,
+            (a, default_controller()),
+            (b, default_controller()),
+        )
+    }
+
+    /// Per-thread statistics.
+    #[must_use]
+    pub fn stats(&self, thread: usize) -> &SimStats {
+        &self.ctx[thread].stats
+    }
+
+    /// Cycles simulated.
+    #[must_use]
+    pub fn cycles(&self) -> u64 {
+        self.ctx[0].stats.cycles
+    }
+
+    /// Combined retired uops per cycle across both threads.
+    #[must_use]
+    pub fn combined_ipc(&self) -> f64 {
+        if self.cycles() == 0 {
+            return 0.0;
+        }
+        (self.ctx[0].stats.retired + self.ctx[1].stats.retired) as f64 / self.cycles() as f64
+    }
+
+    /// Runs for a fixed number of cycles (SMT throughput comparisons
+    /// hold cycles constant and compare work done).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a simulator invariant breaks (see [`SimError`]).
+    pub fn run_cycles(&mut self, cycles: u64) {
+        for _ in 0..cycles {
+            if let Err(e) = self.try_step() {
+                panic!("{e}");
+            }
+        }
+    }
+
+    /// Runs until warm, then clears statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`run_cycles`](Self::run_cycles).
+    pub fn warmup_cycles(&mut self, cycles: u64) {
+        self.run_cycles(cycles);
+        for c in &mut self.ctx {
+            c.reset_stats();
+        }
+    }
+
+    /// One cycle. Retire and complete/resolve touch only their own
+    /// thread's context; issue, dispatch and fetch share the core.
+    fn try_step(&mut self) -> Result<(), SimError> {
+        for c in &mut self.ctx {
+            c.tick();
+            c.retire();
+            c.complete_and_resolve();
+        }
+        let mut units = self.ctx[0].units();
+        let first = (self.ctx[0].now % 2) as usize;
+        for i in [first, 1 - first] {
+            self.ctx[i].issue(&mut self.mem, &mut units);
+        }
+        let [a, b] = &mut self.ctx;
+        a.dispatch(b.sched_occ);
+        b.dispatch(a.sched_occ);
+        a.check_rob()?;
+        b.check_rob()?;
+        self.fetch()?;
+        for c in &mut self.ctx {
+            c.stats.cycles += 1;
+        }
+        Ok(())
+    }
+
+    /// Fetch arbitration: one thread fetches per cycle. A thread that
+    /// is redirecting, gated, or has a full front end sits the cycle
+    /// out; of two that can fetch, the policy picks. Every gated thread
+    /// that does not fetch counts a gated cycle.
+    fn fetch(&mut self) -> Result<(), SimError> {
+        for c in &mut self.ctx {
+            c.apply_pending_gate_increments();
+        }
+        let can = self
+            .ctx
+            .each_ref()
+            .map(|c| c.now >= c.redirect_until && !c.gated() && c.frontend.len() < c.part.frontend);
+        let chosen = if can == [true, true] {
+            Some(match self.policy {
+                FetchPolicy::RoundRobin => {
+                    self.last_fetched = 1 - self.last_fetched;
+                    self.last_fetched
+                }
+                FetchPolicy::Icount => {
+                    let in_flight = |c: &Context| c.frontend.len() + c.rob.len();
+                    usize::from(in_flight(&self.ctx[0]) > in_flight(&self.ctx[1]))
+                }
+            })
+        } else {
+            can.iter().position(|&c| c)
+        };
+        for (i, c) in self.ctx.iter_mut().enumerate() {
+            if chosen != Some(i) && c.gated() {
+                c.stats.gated_cycles += 1;
+            }
+        }
+        match chosen {
+            Some(i) => self.ctx[i].fetch_uops(),
+            None => Ok(()),
+        }
     }
 }
 

@@ -137,11 +137,11 @@ pub struct Program {
     /// Instantiated branch sites, indexed by site id.
     pub sites: Vec<BranchSite>,
     /// Control-flow paths: each is a sequence of site ids.
-    pub paths: Vec<Vec<u32>>,
+    pub paths: Vec<Vec<u32>>, // lint: transient — built from the workload config
     /// Execution-frequency distribution over paths.
-    pub path_zipf: Zipf,
+    pub path_zipf: Zipf, // lint: transient — built from the workload config
     /// Per-site execution-frequency mass (sums to 1).
-    pub site_freq: Vec<f64>,
+    pub site_freq: Vec<f64>, // lint: transient — built from the workload config
 }
 
 impl Program {
