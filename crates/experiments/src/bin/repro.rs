@@ -49,12 +49,12 @@
 //! pipeline runs inside the table experiments) across `n` worker
 //! threads; `--jobs 0` means every available core, and the default is
 //! every core. Results are byte-identical at any job count — only
-//! wall-clock time changes. `--batch <n>` additionally interleaves up
-//! to `n` of the fault sweep's simulations through one cycle loop
-//! (`BatchSim`), and the group's cells that evaluate the same benchmark
-//! share one trace-level pass; like `--jobs` it is purely a throughput
-//! knob — output stays byte-identical for every width, including under
-//! `--resume`. `--timing <file>` writes the per-cell
+//! wall-clock time changes. `--batch <n>` (at least 1) groups the
+//! fault sweep's cells `n` at a time: the group's cells that evaluate
+//! the same benchmark share one trace-level pass, then the group runs
+//! their pipeline legs one at a time. Like `--jobs` it is purely a
+//! throughput knob — output stays byte-identical for every width,
+//! including under `--resume`. `--timing <file>` writes the per-cell
 //! wall-time/retry report of the `faults` sweep as JSON (wall time is
 //! inherently nondeterministic, which is why it lives in its own file
 //! rather than in the diffable result output).
@@ -259,8 +259,8 @@ struct Args {
     /// Grid preset for `faults`/`sweep` (`--grid full|small`).
     grid: faults::Grid,
     /// Batch width for `faults` (1 = unbatched): the members of a group
-    /// interleave their pipeline legs, and the members that evaluate
-    /// the same benchmark share one trace-level pass.
+    /// that evaluate the same benchmark share one trace-level pass, and
+    /// the group then runs their pipeline legs one at a time.
     batch: usize,
     /// Lease duration for `sweep` queue claims. `None` falls back to
     /// `distrib::DEFAULT_LEASE` (30 s).
@@ -357,12 +357,14 @@ fn parse_args() -> Result<Option<Args>, String> {
                 timing = Some(PathBuf::from(it.next().ok_or("--timing needs a file")?));
             }
             "--batch" => {
-                let n: usize = it
+                batch = it
                     .next()
                     .ok_or("--batch needs a width")?
                     .parse()
                     .map_err(|e| format!("--batch: {e}"))?;
-                batch = n.max(1);
+                if batch == 0 {
+                    return Err("--batch must be at least 1".to_owned());
+                }
             }
             "--bench" => {
                 bench.push(it.next().ok_or("--bench needs a benchmark name")?);

@@ -12,7 +12,7 @@ use perconf_core::{
 };
 use perconf_metrics::{ConfusionMatrix, DensityPair};
 use perconf_obs::{Profiler, TraceEvent, Tracer};
-use perconf_pipeline::{BatchSim, Controller, PipelineConfig, SimError, SimStats, Simulation};
+use perconf_pipeline::{Controller, PipelineConfig, SimError, SimStats, Simulation};
 use perconf_workload::{spec2000, WorkloadConfig, WorkloadGenerator};
 use serde::{Deserialize, Serialize, Value};
 
@@ -552,6 +552,11 @@ fn checkpoint(cell: &CheckpointCell, sim: &Simulation, phase: u64) {
 /// `mk_ctl` builds the controller — called once for the initial
 /// simulation and again if a bad checkpoint forces a rebuild.
 ///
+/// The last stored checkpoint outlives the run: the runner deletes it
+/// once the cell's final result is persisted, so a cell that dies
+/// after this leg (say, in a later leg of its group) resumes the leg
+/// from its last boundary instead of from scratch.
+///
 /// Returns the finished [`Simulation`] so callers can read both the
 /// stats and the final state digest.
 ///
@@ -594,127 +599,7 @@ pub fn run_pipeline_checkpointed(
             }
         }
     }
-    cell.clear();
     Ok(sim)
-}
-
-/// One member of a batched checkpointed pipeline run: the workload,
-/// its controller factory, and the checkpoint cell that persists its
-/// mid-run state (pass [`CheckpointCell::disabled`] for none).
-pub struct BatchMember<'a> {
-    /// Workload to simulate.
-    pub wl: &'a WorkloadConfig,
-    /// Controller factory — called once up front and again if a bad
-    /// checkpoint forces a rebuild (same contract as `mk_ctl` on
-    /// [`run_pipeline_checkpointed`]).
-    pub mk_ctl: Box<dyn Fn() -> Controller + 'a>,
-    /// Per-member mid-run checkpoint store.
-    pub cell: &'a CheckpointCell,
-}
-
-/// Batched [`run_pipeline_checkpointed`]: advances every member
-/// through one interleaved cycle loop ([`BatchSim`]), while each
-/// member's phase transitions, checkpoint boundaries, and stored
-/// checkpoint bytes replicate the sequential function exactly.
-///
-/// # Determinism contract
-///
-/// Member `i`'s final stats, state digest, and every intermediate
-/// checkpoint it stores are byte-identical to
-/// `run_pipeline_checkpointed(members[i].wl, cfg, …, scale,
-/// members[i].cell, interval)` run alone — for every batch width and
-/// member order, with faults injected and counters/tracing enabled.
-/// In particular a batch killed mid-flight leaves per-member `.part`
-/// checkpoints a *sequential* resume can continue from, and vice
-/// versa.
-///
-/// Errors are isolated per member: a member that stalls or breaks an
-/// invariant carries `Err` in its slot while the rest run to
-/// completion.
-pub fn run_pipeline_checkpointed_batch(
-    members: &[BatchMember<'_>],
-    cfg: PipelineConfig,
-    scale: Scale,
-    interval: u64,
-) -> Vec<Result<Simulation, SimError>> {
-    let interval = interval.max(1);
-    let n = members.len();
-    let (sims, mut phases): (Vec<Simulation>, Vec<u64>) = members
-        .iter()
-        .map(|m| start_or_resume(m.wl, cfg, &*m.mk_ctl, m.cell))
-        .unzip();
-    let mut batch = BatchSim::new(sims);
-    let mut outcome: Vec<Option<SimError>> = (0..n).map(|_| None).collect();
-    let mut done = vec![false; n];
-    loop {
-        // One interleaved leg: each live member advances by its next
-        // chunk — the same `interval.min(remaining)` the sequential
-        // loop computes — then checkpoints at the same boundary.
-        let mut uops = vec![0u64; n];
-        for i in 0..n {
-            if done[i] || outcome[i].is_some() {
-                continue;
-            }
-            let retired = batch.get(i).stats().retired;
-            let target = if phases[i] == PHASE_WARMUP {
-                scale.warmup_uops
-            } else {
-                scale.run_uops
-            };
-            uops[i] = interval.min(target.saturating_sub(retired));
-        }
-        let mut progressed = false;
-        let results = {
-            let _s = profiler().scope("phase/batch_run");
-            batch.try_run_each(&uops)
-        };
-        for i in 0..n {
-            if done[i] || outcome[i].is_some() {
-                continue;
-            }
-            if let Err(e) = &results[i] {
-                outcome[i] = Some(*e);
-                continue;
-            }
-            progressed = true;
-            let m = &members[i];
-            if phases[i] == PHASE_WARMUP {
-                if batch.get(i).stats().retired < scale.warmup_uops {
-                    checkpoint(m.cell, batch.get(i), PHASE_WARMUP);
-                } else {
-                    // Ends the warmup phase: resets stats. As in the
-                    // sequential loop, this boundary is stored once, in
-                    // the run phase. A member restored at or past its
-                    // warmup target ran a zero-size leg and lands here
-                    // directly.
-                    if let Err(e) = batch.get_mut(i).try_warmup(0) {
-                        outcome[i] = Some(e);
-                        continue;
-                    }
-                    checkpoint(m.cell, batch.get(i), PHASE_RUN);
-                    phases[i] = PHASE_RUN;
-                }
-            } else if batch.get(i).stats().retired < scale.run_uops {
-                checkpoint(m.cell, batch.get(i), PHASE_RUN);
-            } else {
-                m.cell.clear();
-                done[i] = true;
-            }
-        }
-        if (0..n).all(|i| done[i] || outcome[i].is_some()) {
-            break;
-        }
-        assert!(progressed, "batched run loop made no progress");
-    }
-    batch
-        .into_sims()
-        .into_iter()
-        .zip(outcome)
-        .map(|(sim, err)| match err {
-            None => Ok(sim),
-            Some(e) => Err(e),
-        })
-        .collect()
 }
 
 /// Derives the paper's `U`/`P` metrics from a baseline and a variant
@@ -907,8 +792,8 @@ mod tests {
         let sim = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell, 7_000).unwrap();
         assert_eq!(sim.stats(), &plain, "chunked run must be bit-identical");
         assert!(
-            cell.path().is_none_or(|p| !p.exists()),
-            "completed run clears its partial checkpoint"
+            cell.load().is_some(),
+            "a completed run leaves its last partial for the runner to delete"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1003,7 +888,10 @@ mod tests {
         let resumed = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell, 9_000).unwrap();
         assert_eq!(resumed.stats(), reference.stats());
         assert_eq!(resumed.state_digest(), reference.state_digest());
-        assert!(!path.exists(), "the refused partial is gone");
+        assert!(
+            crate::snapfile::read(path).is_ok(),
+            "the refused partial was replaced by a current one"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1038,56 +926,42 @@ mod tests {
         }
     }
 
-    /// Snapshots built by a sequential run through `seq` and a
-    /// one-member batched run through `batched`, tiny scale at 7k.
-    fn snapshots_built(seq: &CheckpointCell, batched: &CheckpointCell) -> [usize; 2] {
+    /// Snapshots built by a checkpointed run through `cell`, tiny scale
+    /// at 7k.
+    fn snapshots_built(cell: &CheckpointCell) -> usize {
         let wl = perconf_workload::spec2000_config("gcc").unwrap();
         let cfg = PipelineConfig::with_depth_width(20, 4);
-        let counting = |n: &Arc<AtomicUsize>| {
-            let n = Arc::clone(n);
-            move || {
-                controller(
-                    PredictorKind::BimodalGshare,
-                    Box::new(SaveCounter(Arc::clone(&n))),
-                )
-            }
+        let calls = Arc::new(AtomicUsize::new(0));
+        let n = Arc::clone(&calls);
+        let mk = move || {
+            controller(
+                PredictorKind::BimodalGshare,
+                Box::new(SaveCounter(Arc::clone(&n))),
+            )
         };
-        let (seq_calls, batch_calls) = (Arc::default(), Arc::default());
-        run_pipeline_checkpointed(&wl, cfg, counting(&seq_calls), Scale::tiny(), seq, 7_000)
-            .unwrap();
-        let members = [BatchMember {
-            wl: &wl,
-            mk_ctl: Box::new(counting(&batch_calls)),
-            cell: batched,
-        }];
-        for out in run_pipeline_checkpointed_batch(&members, cfg, Scale::tiny(), 7_000) {
-            out.unwrap();
-        }
-        [
-            seq_calls.load(Ordering::SeqCst),
-            batch_calls.load(Ordering::SeqCst),
-        ]
+        run_pipeline_checkpointed(&wl, cfg, mk, Scale::tiny(), cell, 7_000).unwrap();
+        calls.load(Ordering::SeqCst)
     }
 
     #[test]
     fn disabled_cell_never_builds_a_snapshot() {
-        let off = CheckpointCell::disabled();
-        assert_eq!(snapshots_built(&off, &off), [0, 0]);
+        assert_eq!(snapshots_built(&CheckpointCell::disabled()), 0);
     }
 
     #[test]
     fn persisting_cell_snapshots_once_per_boundary() {
-        let (dir_a, seq) = tmp_cell("boundaries-seq");
-        let (dir_b, batched) = tmp_cell("boundaries-batch");
+        let (dir, cell) = tmp_cell("boundaries");
         // Warmup (20k) boundaries at 7k and 14k, the warmup/run
         // boundary once, then run (40k) boundaries at 7k..35k.
-        assert_eq!(snapshots_built(&seq, &batched), [8, 8]);
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        assert_eq!(snapshots_built(&cell), 8);
+        // A rerun continues from the kept 35k partial: its last chunk
+        // ends the run, which is no boundary.
+        assert_eq!(snapshots_built(&cell), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn end_of_warmup_checkpoint_of_older_builds_resumes_in_both_loops() {
+    fn end_of_warmup_checkpoint_of_older_builds_resumes() {
         // Older builds also stored a warmup-phase checkpoint at the end
         // of warmup. Resume dirs and serve caches written by them must
         // still continue to the uninterrupted result.
@@ -1098,34 +972,19 @@ mod tests {
         let off = CheckpointCell::disabled();
         let reference = run_pipeline_checkpointed(&wl, cfg, mk, scale, &off, 9_000).unwrap();
 
-        let (dir_a, seq) = tmp_cell("old-warmup-seq");
-        let (dir_b, batched) = tmp_cell("old-warmup-batch");
+        let (dir, cell) = tmp_cell("old-warmup");
         let mut sim = Simulation::new(cfg, &wl, mk());
         sim.try_run(scale.warmup_uops).unwrap();
         assert!(sim.stats().retired >= scale.warmup_uops);
-        for cell in [&seq, &batched] {
-            cell.store(|| {
-                Value::Object(vec![
-                    ("phase".into(), Value::UInt(super::PHASE_WARMUP)),
-                    ("sim".into(), sim.save_state()),
-                ])
-            });
-        }
-        let from_seq = run_pipeline_checkpointed(&wl, cfg, mk, scale, &seq, 9_000).unwrap();
-        let members = [BatchMember {
-            wl: &wl,
-            mk_ctl: Box::new(mk),
-            cell: &batched,
-        }];
-        let from_batch = run_pipeline_checkpointed_batch(&members, cfg, scale, 9_000)
-            .pop()
-            .unwrap()
-            .unwrap();
-        for resumed in [&from_seq, &from_batch] {
-            assert_eq!(resumed.stats(), reference.stats());
-            assert_eq!(resumed.state_digest(), reference.state_digest());
-        }
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        cell.store(|| {
+            Value::Object(vec![
+                ("phase".into(), Value::UInt(super::PHASE_WARMUP)),
+                ("sim".into(), sim.save_state()),
+            ])
+        });
+        let resumed = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell, 9_000).unwrap();
+        assert_eq!(resumed.stats(), reference.stats());
+        assert_eq!(resumed.state_digest(), reference.state_digest());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

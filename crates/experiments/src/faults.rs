@@ -30,10 +30,7 @@
 //! randomness derives from [`cell_seed`] — a pure function of the
 //! campaign seed and the cell coordinates, never of scheduling order.
 
-use crate::common::{
-    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, trace_eval, trace_eval_each,
-    BatchMember, Scale, TracePair,
-};
+use crate::common::{run_pipeline_checkpointed, trace_eval_each, Scale, TracePair};
 use crate::runner::{BatchSpec, CellSpec, CellTiming, CheckpointCell, Scheduler, SweepReport};
 use perconf_bpred::{baseline_bimodal_gshare, Bimodal, BranchPredictor, Gshare, Hybrid};
 use perconf_core::{
@@ -43,7 +40,7 @@ use perconf_core::{
 use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
 use perconf_metrics::{ConfusionMatrix, Table};
 use perconf_obs::CounterSnapshot;
-use perconf_pipeline::{Controller, PipelineConfig, Simulation};
+use perconf_pipeline::{Controller, PipelineConfig};
 use perconf_workload::WorkloadConfig;
 use serde::{Deserialize, Serialize};
 
@@ -331,34 +328,19 @@ fn faulty_controller(estimator: &str, cfgs: &[FaultConfig; 2]) -> Controller {
     SpeculationController::new(Box::new(p), Box::new(e))
 }
 
-/// Assembles the cell at (benchmark, estimator, rate) from its
-/// trace-level matrix, the faults injected during that pass
-/// (`[predictor, estimator]`), and its finished pipeline run. A
-/// [`SimError`](perconf_pipeline::SimError) is an invariant failure;
-/// it surfaces as the panic the runner's attempt isolation already
-/// turns into a typed error.
-fn fault_cell(
-    (bench, estimator, rate): (&str, &str, f64),
-    cm: &ConfusionMatrix,
-    [faults_predictor, faults_estimator]: [u64; 2],
-    sim: Result<Simulation, perconf_pipeline::SimError>,
-) -> FaultCell {
-    let sim = sim.unwrap_or_else(|e| panic!("{e}"));
-    FaultCell {
-        benchmark: bench.to_owned(),
-        estimator: estimator.to_owned(),
-        rate,
-        pvn: cm.pvn() * 100.0,
-        spec: cm.spec() * 100.0,
-        miss_rate: cm.misprediction_rate() * 100.0,
-        ipc: sim.stats().ipc(),
-        faults_predictor,
-        faults_estimator,
-        counters: sim.counters(),
-    }
+/// One cell of a group computation: its coordinates, its seed
+/// ([`cell_seed`]) and its checkpoint cell.
+struct Member<'a> {
+    bench: &'a str,
+    estimator: &'a str,
+    rate: f64,
+    seed: u64,
+    cell: &'a CheckpointCell,
 }
 
-/// Computes one sweep cell (exposed for the driver's tests).
+/// Computes one sweep cell (exposed for the driver's tests): the
+/// one-member case of the group computation [`batch_specs`] runs, so a
+/// cell is computed one way whatever its group.
 ///
 /// The pipeline-IPC leg of the cell snapshots the full simulation into
 /// `cell` every ~50k retired uops, so a cell killed mid-pipeline-run
@@ -374,34 +356,16 @@ pub fn run_cell(
     scale: Scale,
     cell: &CheckpointCell,
 ) -> FaultCell {
-    let wl = perconf_workload::spec2000_config(bench).expect("known benchmark");
-    let cfgs = fault_configs(rate, seed);
-
-    // Trace-level confidence metrics.
-    let (mut p, mut e) = faulty_pair(estimator, &cfgs);
-    let (cm, _) = trace_eval(
-        &wl,
-        &mut p,
-        &mut e,
-        scale.warmup_branches,
-        scale.run_branches,
-        None,
-    );
-    // The pipeline controller builds its own wrappers, so the reported
-    // injection counts cover the trace-level pass only.
-    let injected = [p.injected(), e.injected()];
-
-    // Pipeline IPC with both structures faulted (gated deep machine,
-    // the configuration the estimator actually protects).
-    let sim = run_pipeline_checkpointed(
-        &wl,
-        PipelineConfig::deep().gated(1),
-        || faulty_controller(estimator, &cfgs),
-        scale,
+    let member = Member {
+        bench,
+        estimator,
+        rate,
+        seed,
         cell,
-        50_000,
-    );
-    fault_cell((bench, estimator, rate), &cm, injected, sim)
+    };
+    run_group(&[member], scale)
+        .pop()
+        .expect("one member, one cell")
 }
 
 /// The scheduler cell computing `coord` of campaign `seed`: its key,
@@ -417,44 +381,36 @@ pub fn cell_spec(scale: Scale, seed: u64, coord: &CellCoord) -> CellSpec<FaultCe
     })
 }
 
-/// Computes a group of sweep cells: members that evaluate the same
-/// workload share one trace-level pass ([`trace_eval_each`]), and all
-/// members' pipeline legs interleave through one batched cycle loop
-/// ([`run_pipeline_checkpointed_batch`]). Per-member results,
-/// checkpoint bytes, and counters are byte-identical to [`run_cell`]
-/// on the same coordinates.
+/// Computes a group of sweep cells, one [`FaultCell`] per member, in
+/// order. Members that evaluate the same workload share one
+/// trace-level pass ([`trace_eval_each`]); then each member's
+/// pipeline leg (the gated deep machine, the configuration the
+/// estimator protects) runs in turn through
+/// [`run_pipeline_checkpointed`], and its machine is dropped as soon as
+/// its cell is built. A member's cell and checkpoint bytes do not
+/// depend on the group it runs in.
 ///
-/// `idxs` selects which members of `coords` to compute (the batch
-/// engine skips members served from final checkpoints); returns one
-/// [`FaultCell`] per requested index, in order. Each member's seed is
-/// its [`cell_seed`] under campaign `seed`.
-fn run_cells_batched(
-    coords: &[CellCoord],
-    idxs: &[usize],
-    cells: &[CheckpointCell],
-    scale: Scale,
-    seed: u64,
-) -> Vec<FaultCell> {
-    let members: Vec<&CellCoord> = idxs.iter().map(|&i| &coords[i]).collect();
+/// A [`SimError`](perconf_pipeline::SimError) is an invariant failure;
+/// it surfaces as the panic the runner's attempt isolation already
+/// turns into a typed error.
+fn run_group(members: &[Member<'_>], scale: Scale) -> Vec<FaultCell> {
     let wls: Vec<WorkloadConfig> = members
         .iter()
-        .map(|c| perconf_workload::spec2000_config(&c.benchmark).expect("known benchmark"))
+        .map(|m| perconf_workload::spec2000_config(m.bench).expect("known benchmark"))
         .collect();
     let cfgs: Vec<[FaultConfig; 2]> = members
         .iter()
-        .map(|c| {
-            let cs = cell_seed(seed, &c.benchmark, &c.estimator, c.rate_idx);
-            fault_configs(c.rate, cs)
-        })
+        .map(|m| fault_configs(m.rate, m.seed))
         .collect();
 
     // Trace-level legs: one pass per distinct workload, in
     // first-appearance order, for every member that evaluates it. The
-    // pairs are dropped before the pipeline leg starts.
+    // pipeline controllers build their own wrappers, so the reported
+    // injection counts cover these passes only.
     let mut pairs: Vec<FaultyPair> = members
         .iter()
         .zip(&cfgs)
-        .map(|(c, cfg)| faulty_pair(&c.estimator, cfg))
+        .map(|(m, cfg)| faulty_pair(m.estimator, cfg))
         .collect();
     let mut cms = vec![ConfusionMatrix::new(); members.len()];
     for (first, wl) in wls.iter().enumerate() {
@@ -478,37 +434,44 @@ fn run_cells_batched(
         .collect();
     drop(pairs);
 
-    // The batched pipeline leg: same controller factory, pipeline
-    // config, and 50k-uop checkpoint interval as `run_cell`.
-    let batch: Vec<BatchMember<'_>> = members
-        .iter()
-        .zip(&wls)
-        .zip(&cfgs)
-        .zip(idxs)
-        .map(|(((c, wl), cfg), &i)| BatchMember {
-            wl,
-            mk_ctl: Box::new(move || faulty_controller(&c.estimator, cfg)),
-            cell: &cells[i],
-        })
-        .collect();
-    let sims =
-        run_pipeline_checkpointed_batch(&batch, PipelineConfig::deep().gated(1), scale, 50_000);
-    drop(batch);
+    // Pipeline legs, one at a time: each machine is dropped as soon as
+    // its cell is built, so at most one is alive.
     members
         .iter()
-        .zip(&cms)
-        .zip(injected)
-        .zip(sims)
-        .map(|(((c, cm), injected), sim)| {
-            fault_cell((&c.benchmark, &c.estimator, c.rate), cm, injected, sim)
+        .enumerate()
+        .map(|(i, m)| {
+            let sim = run_pipeline_checkpointed(
+                &wls[i],
+                PipelineConfig::deep().gated(1),
+                || faulty_controller(m.estimator, &cfgs[i]),
+                scale,
+                m.cell,
+                50_000,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            let (cm, [faults_predictor, faults_estimator]) = (&cms[i], injected[i]);
+            FaultCell {
+                benchmark: m.bench.to_owned(),
+                estimator: m.estimator.to_owned(),
+                rate: m.rate,
+                pvn: cm.pvn() * 100.0,
+                spec: cm.spec() * 100.0,
+                miss_rate: cm.misprediction_rate() * 100.0,
+                ipc: sim.stats().ipc(),
+                faults_predictor,
+                faults_estimator,
+                counters: sim.counters(),
+            }
         })
         .collect()
 }
 
 /// Builds the sweep's batch groups: the canonical grid order chunked
-/// into groups of `width` cells whose pipeline legs run interleaved.
-/// `width = 1` degenerates to one group per cell — the exact
-/// [`cell_specs`] work, through the same engine.
+/// into groups of `width` cells. A group computes its pending members
+/// (the runner skips members served from final checkpoints) with one
+/// trace-level pass per distinct workload, then runs their pipeline
+/// legs one at a time. `width = 1` degenerates to one group per cell —
+/// the exact [`cell_specs`] work, through the same engine.
 ///
 /// Grouping never changes output: member keys, seeds, checkpoint
 /// artifacts, and results are all per cell, and the merged report
@@ -526,16 +489,29 @@ pub fn batch_specs(
             let group = group.to_vec();
             let keys = group.iter().map(|c| c.key.clone()).collect();
             BatchSpec::new(keys, move |idxs, cells| {
-                run_cells_batched(&group, idxs, cells, scale, seed)
+                let members: Vec<Member<'_>> = idxs
+                    .iter()
+                    .map(|&i| {
+                        let c = &group[i];
+                        Member {
+                            bench: &c.benchmark,
+                            estimator: &c.estimator,
+                            rate: c.rate,
+                            seed: cell_seed(seed, &c.benchmark, &c.estimator, c.rate_idx),
+                            cell: &cells[i],
+                        }
+                    })
+                    .collect();
+                run_group(&members, scale)
             })
         })
         .collect()
 }
 
-/// [`run_grid`] with the cells' pipeline legs interleaved `width` at a
-/// time through one batched cycle loop per group. Output is
-/// byte-identical to [`run_grid`] for every width — the differential
-/// suite in `tests/batch_determinism.rs` pins this.
+/// [`run_grid`] with the cells grouped `width` at a time
+/// ([`batch_specs`]), so each group's cells on the same workload share
+/// one trace-level pass. Output is byte-identical to [`run_grid`] for
+/// every width — `tests/batch_determinism.rs` pins this.
 #[must_use]
 pub fn run_grid_batched(
     scale: Scale,
@@ -754,6 +730,7 @@ impl FaultTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::trace_eval;
     use perconf_bpred::SimPredictor;
     use perconf_core::SimEstimator;
 

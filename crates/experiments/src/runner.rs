@@ -256,8 +256,8 @@ impl CheckpointCell {
         }
     }
 
-    /// Removes the partial checkpoint (called after the cell finishes
-    /// and its *final* result is persisted).
+    /// Removes the partial checkpoint. The runner calls it once the
+    /// cell's *final* result is persisted; cell code never does.
     pub fn clear(&self) {
         if let Some(path) = &self.path {
             let _ = std::fs::remove_file(path);
@@ -387,6 +387,12 @@ pub struct CellTiming {
 /// count. An attempt failure (panic or timeout) is charged to every
 /// pending member; mid-run checkpoints written before the failure
 /// still bound the rework on retry.
+///
+/// This engine alone deletes a member's partial checkpoint: right
+/// after writing its final result, when serving it from one, and
+/// before a non-resume run. The work never does, so a group that dies
+/// in one member's leg keeps the partials of the legs it finished, and
+/// a retry resumes each of them from its last boundary.
 fn execute_batch<T>(
     cfg: &RunnerConfig,
     zombies: &Zombies,
@@ -813,7 +819,8 @@ impl<T> std::fmt::Debug for CellSpec<T> {
 
 /// An ordered group of sweep cells executed together as one batched
 /// work unit (one attempt thread, one watchdog, shared retry budget),
-/// typically backed by a `BatchSim` interleaving their pipeline legs.
+/// such as a fault-sweep group whose cells share one trace-level pass
+/// per workload and then run their pipeline legs in turn.
 ///
 /// Resume/retry/marker semantics stay per member — see
 /// `execute_batch` — so the on-disk artifacts (final checkpoints,

@@ -51,6 +51,8 @@ fn help_succeeds_and_unknown_flags_are_usage_errors() {
         "0",
     ];
     usage_errors.push((repro, &zero_timeout, "--cell-timeout"));
+    // A zero batch width names no group size; it used to run width 1.
+    usage_errors.push((repro, &["faults", "--tiny", "--batch", "0"], "--batch"));
     for (bin, args, flag) in usage_errors {
         let out = run(bin, args);
         assert_eq!(

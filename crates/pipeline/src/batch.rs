@@ -6,20 +6,25 @@
 //! predictor/estimator tables, caches, and statistics — so the
 //! interleaving is invisible to any single member: every member's
 //! cycle-by-cycle evolution, final statistics, and snapshot bytes are
-//! identical to running it alone. What batching buys is locality
-//! across *table walks*: while one member's predictor lookup is
-//! resolving in the cache hierarchy, the loop advances its siblings,
-//! which hides per-structure access latency exactly where sweep grids
-//! run many simulations per cell.
+//! identical to running it alone.
+//!
+//! No library code calls it. The fault sweep's batch groups used to
+//! step their pipeline legs through it, and measured end to end that
+//! was slower and held every member's machine at once: a group now
+//! runs its legs one at a time through the experiments crate's one
+//! checkpointed loop. `BatchSim` stays only because the benchmark's
+//! `pipeline.batch4_ratio` probe compiles against `new`, `try_run`
+//! and `width`; it goes once that probe does.
 //!
 //! # Determinism contract
 //!
 //! For every batch width, member order, and interleave schedule,
 //! member `i`'s results are byte-identical to a sequential run of the
 //! same simulation: same [`SimStats`](crate::SimStats), same state
-//! digest, same serialized snapshot. The differential suite in
-//! `tests/batch_determinism.rs` pins this, including under
-//! checkpoint/resume, fault injection, and enabled counters/tracing.
+//! digest, same serialized snapshot. This module's tests pin that
+//! against sequential runs, and `tests/batch_determinism.rs` resumes
+//! the partials an interleaved batch leaves, as older builds' resume
+//! directories hold them.
 
 use crate::sim::{SimError, Simulation};
 

@@ -1672,11 +1672,15 @@ impl SmtSimulation {
 
     /// Fetch arbitration: one thread fetches per cycle. A thread that
     /// is redirecting, gated, or has a full front end sits the cycle
-    /// out; of two that can fetch, the policy picks. Every gated thread
-    /// that does not fetch counts a gated cycle.
+    /// out; of two that can fetch, the policy picks. Every redirecting
+    /// thread counts a redirect cycle, and every gated thread that does
+    /// not fetch counts a gated cycle.
     fn fetch(&mut self) -> Result<(), SimError> {
         for c in &mut self.ctx {
             c.apply_pending_gate_increments();
+            if c.now < c.redirect_until {
+                c.stats.redirect_cycles += 1;
+            }
         }
         let can = self
             .ctx

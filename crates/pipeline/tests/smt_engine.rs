@@ -136,6 +136,28 @@ fn per_thread_wrong_path_squash_does_not_cross_threads() {
     assert!(smt.stats(0).squashed > smt.stats(1).squashed);
 }
 
+#[test]
+fn each_thread_counts_its_redirect_cycles() {
+    // Both threads mispredict, so each refills its front end after
+    // squashes; those cycles are its own, whoever holds the fetch slot.
+    let mut smt = SmtSimulation::with_defaults(
+        PipelineConfig::deep(),
+        FetchPolicy::RoundRobin,
+        &wl("gcc"),
+        &wl("mcf"),
+    );
+    smt.run_cycles(20_000);
+    for t in 0..2 {
+        let s = smt.stats(t);
+        assert!(
+            s.redirect_cycles > 0 && s.redirect_cycles <= s.cycles,
+            "t{t}: {} redirect cycles of {}",
+            s.redirect_cycles,
+            s.cycles
+        );
+    }
+}
+
 // ---------------------------------------------------------------- //
 // The golden.
 // ---------------------------------------------------------------- //

@@ -1,18 +1,15 @@
-//! Differential determinism suite for batched execution.
+//! Determinism suite for grouped execution.
 //!
-//! The batched cycle loop ([`BatchSim`] /
-//! `common::run_pipeline_checkpointed_batch` / the scheduler's
-//! `BatchSpec` path) promises byte-identical results to N sequential
-//! runs — for every batch width, with faults injected, with counters
-//! enabled, and across a kill + resume in either direction (a batch's
-//! mid-run checkpoint continued sequentially, a sequential checkpoint
-//! continued batched). These tests pin that contract at all three
-//! layers:
+//! A fault-sweep batch group (`faults::batch_specs`, `repro faults
+//! --batch N`) shares one trace-level pass per workload and then runs
+//! its members' pipeline legs one at a time through
+//! `common::run_pipeline_checkpointed`. These tests pin what that
+//! promises:
 //!
-//! 1. engine level — widths {1, 2, 4, 7, 16} against per-member
-//!    sequential references, comparing serialized `.psnap` bytes and
-//!    `CounterSnapshot`s, not just summary stats;
-//! 2. checkpoint level — mid-batch kill with cross-path resume;
+//! 1. checkpoint level — partials that older builds' interleaved loop
+//!    (`BatchSim`) wrote mid-batch resume to the uninterrupted result;
+//! 2. group level — a group that dies in one member's leg keeps the
+//!    partials of the legs it finished, and a resume continues them;
 //! 3. sweep level — `run_grid_batched` vs `run_grid` byte-identical
 //!    JSON + rendered table, including a batch-prefix kill + resume
 //!    and a batched sweep's checkpoints consumed by the sequential
@@ -22,17 +19,18 @@ use perconf_bpred::{baseline_bimodal_gshare, SimPredictor, Snapshot};
 use perconf_core::{
     JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig, SimEstimator, SpeculationController,
 };
-use perconf_experiments::common::{
-    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, BatchMember, Scale,
-};
+use perconf_experiments::common::{run_pipeline_checkpointed, Scale};
 use perconf_experiments::faults::{self, FaultTable, Grid};
-use perconf_experiments::runner::{CheckpointCell, RunnerConfig, Scheduler, SchedulerConfig};
-use perconf_experiments::snapfile;
+use perconf_experiments::runner::{
+    partial_path, BatchSpec, CheckpointCell, RunnerConfig, Scheduler, SchedulerConfig,
+};
 use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
-use perconf_pipeline::{BatchSim, Controller, PipelineConfig, Simulation};
+use perconf_pipeline::{BatchSim, Controller, PipelineConfig, SimStats, Simulation};
 use perconf_workload::WorkloadConfig;
 use serde::Value;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const BENCHES: [&str; 4] = ["gcc", "twolf", "mcf", "gzip"];
 const INTERVAL: u64 = 7_000;
@@ -78,78 +76,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The serialized `.psnap` container bytes for a finished simulation —
-/// the byte-level artifact kill+resume actually round-trips.
-fn psnap_bytes(sim: &Simulation, dir: &Path, tag: &str) -> Vec<u8> {
-    let p = dir.join(format!("{tag}.psnap"));
-    snapfile::write(&p, &sim.save_state()).expect("write .psnap");
-    std::fs::read(&p).expect("read .psnap back")
-}
-
-#[test]
-fn batch_widths_match_sequential_psnap_and_counters() {
-    let scale = Scale::tiny();
-    let cfg = PipelineConfig::deep().gated(1);
-    let dir = fresh_dir("widths");
-
-    let widths = [1usize, 2, 4, 7, 16];
-    let pool = *widths.iter().max().unwrap();
-    let wls: Vec<WorkloadConfig> = (0..pool).map(member_wl).collect();
-
-    // Sequential references: stats, serialized snapshot bytes, and the
-    // full counter snapshot per member.
-    let mut refs = Vec::new();
-    for (i, wl) in wls.iter().enumerate() {
-        let sim = run_pipeline_checkpointed(
-            wl,
-            cfg,
-            || member_ctl(i),
-            scale,
-            &CheckpointCell::disabled(),
-            INTERVAL,
-        )
-        .expect("sequential member");
-        refs.push((
-            sim.stats().clone(),
-            psnap_bytes(&sim, &dir, &format!("seq-{i}")),
-            sim.counters(),
-        ));
-    }
-
-    for width in widths {
-        let cells: Vec<CheckpointCell> = (0..width).map(|_| CheckpointCell::disabled()).collect();
-        let members: Vec<BatchMember> = (0..width)
-            .map(|i| BatchMember {
-                wl: &wls[i],
-                mk_ctl: Box::new(move || member_ctl(i)),
-                cell: &cells[i],
-            })
-            .collect();
-        let outs = run_pipeline_checkpointed_batch(&members, cfg, scale, INTERVAL);
-        drop(members);
-        for (i, out) in outs.into_iter().enumerate() {
-            let sim = out.expect("batched member");
-            assert_eq!(
-                sim.stats(),
-                &refs[i].0,
-                "width {width} member {i}: stats diverged"
-            );
-            assert_eq!(
-                psnap_bytes(&sim, &dir, &format!("b{width}-{i}")),
-                refs[i].1,
-                "width {width} member {i}: .psnap bytes diverged"
-            );
-            assert_eq!(
-                sim.counters(),
-                refs[i].2,
-                "width {width} member {i}: counters diverged"
-            );
-        }
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
     let scale = Scale::tiny();
@@ -182,9 +108,10 @@ fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
         });
     };
 
-    // A *batch* killed mid-warmup: advance an interleaved batch two
-    // checkpoint legs, persist each member's {phase, sim} partial —
-    // the exact bytes the batched loop stores — then abandon it.
+    // A *batch* killed mid-warmup, as older builds' interleaved loop
+    // ran one: advance the batch two checkpoint legs, persist each
+    // member's {phase, sim} partial — the bytes that loop stored — then
+    // abandon it.
     let mut batch = BatchSim::new(
         (0..n)
             .map(|i| Simulation::new(cfg, &wls[i], member_ctl(i)))
@@ -203,8 +130,8 @@ fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
     }
     drop(batch);
 
-    // ... and resumed *sequentially*: every member must land on the
-    // uninterrupted result, and clear its partial on completion.
+    // ... and resumed through the one checkpointed loop: every member
+    // must land on the uninterrupted result.
     for (i, wl) in wls.iter().enumerate() {
         let sim = run_pipeline_checkpointed(wl, cfg, || member_ctl(i), scale, &cells[i], INTERVAL)
             .expect("sequential resume of batch-killed member");
@@ -218,49 +145,73 @@ fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
             refs[i].1,
             "member {i}: resumed state diverged"
         );
-        assert!(
-            cells[i].load().is_none(),
-            "member {i}: completed run left its partial checkpoint behind"
-        );
     }
 
-    // The reverse direction: *sequential* runs killed mid-run-phase,
-    // resumed through the batched loop.
-    let cells2: Vec<CheckpointCell> = (0..n)
-        .map(|i| CheckpointCell::at(dir.join(format!("seq-killed-{i}.part.psnap"))))
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A three-member group whose work runs each pending member's leg
+/// through the one checkpointed loop and yields its stats and state
+/// digest. While `trap` is set, the work clears it and panics right
+/// after member 1's leg: a group dying between two legs.
+fn three_legs(keys: &[String], trap: &Arc<AtomicBool>) -> BatchSpec<(SimStats, u64)> {
+    let trap = Arc::clone(trap);
+    BatchSpec::new(keys.to_vec(), move |idxs, cells| {
+        idxs.iter()
+            .map(|&i| {
+                let sim = run_pipeline_checkpointed(
+                    &member_wl(i),
+                    PipelineConfig::deep().gated(1),
+                    || member_ctl(i),
+                    Scale::tiny(),
+                    &cells[i],
+                    INTERVAL,
+                )
+                .expect("leg");
+                if i == 1 && trap.swap(false, Ordering::SeqCst) {
+                    panic!("group dies after member 1's leg");
+                }
+                (sim.stats().clone(), sim.state_digest())
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn a_dying_group_keeps_its_finished_legs() {
+    let dir = fresh_dir("dying-group");
+    let keys: Vec<String> = (0..3).map(|i| format!("leg-{i}")).collect();
+    let unarmed = Arc::new(AtomicBool::new(false));
+    let reference = scheduler(1, None).run_batches(vec![three_legs(&keys, &unarmed)]);
+
+    let trap = Arc::new(AtomicBool::new(true));
+    let died = scheduler(1, Some(&dir)).run_batches(vec![three_legs(&keys, &trap)]);
+    assert_eq!(
+        died.failures().len(),
+        3,
+        "the attempt is charged to every member"
+    );
+    let kept: Vec<bool> = keys
+        .iter()
+        .map(|k| partial_path(&dir, k).exists())
         .collect();
-    for (i, wl) in wls.iter().enumerate() {
-        let mut sim = Simulation::new(cfg, wl, member_ctl(i));
-        while sim.stats().retired < scale.warmup_uops {
-            let chunk = INTERVAL.min(scale.warmup_uops - sim.stats().retired);
-            sim.try_run(chunk).expect("warmup");
-        }
-        sim.try_warmup(0).expect("warmup handoff");
-        sim.try_run(INTERVAL).expect("first run leg");
-        store(&cells2[i], 1, &sim);
-    }
-    let members: Vec<BatchMember> = (0..n)
-        .map(|i| BatchMember {
-            wl: &wls[i],
-            mk_ctl: Box::new(move || member_ctl(i)),
-            cell: &cells2[i],
-        })
-        .collect();
-    let outs = run_pipeline_checkpointed_batch(&members, cfg, scale, INTERVAL);
-    drop(members);
-    for (i, out) in outs.into_iter().enumerate() {
-        let sim = out.expect("batched resume of sequentially-killed member");
+    assert_eq!(kept, [true, true, false], "partials after the group died");
+
+    let resumed = scheduler(1, Some(&dir)).run_batches(vec![three_legs(&keys, &trap)]);
+    let mid: Vec<bool> = resumed.cells.iter().map(|c| c.resumed_mid_cell).collect();
+    assert_eq!(mid, [true, true, false]);
+    for (r, want) in resumed.cells.iter().zip(&reference.cells) {
         assert_eq!(
-            sim.stats(),
-            &refs[i].0,
-            "member {i}: batch-resumed stats diverged"
-        );
-        assert_eq!(
-            sim.state_digest(),
-            refs[i].1,
-            "member {i}: batch-resumed state diverged"
+            r.outcome.as_ref().expect("resumed member"),
+            want.outcome.as_ref().expect("reference member"),
+            "{}: resumed result diverged",
+            r.key
         );
     }
+    assert!(
+        keys.iter().all(|k| !partial_path(&dir, k).exists()),
+        "the runner deletes each partial after writing the final result"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,27 +1,28 @@
-//! Seeded property test for the batched cycle loop: random
-//! (batch width, fault plan, checkpoint interval) triples must leave
-//! every member's stats and state digest invariant between the batched
-//! and sequential checkpointed paths. Runs in the CI determinism lane.
+//! Seeded property test for the one checkpointed pipeline loop:
+//! random (fault plan, checkpoint interval, kill boundary) triples
+//! must leave a resumed run's stats and state digest equal to an
+//! uninterrupted one. Runs in the CI determinism lane.
 //!
-//! Each trial draws a width in 1..=8, a per-member fault plan (rate ×
-//! seed × benchmark × estimator kind), and a checkpoint interval, runs
-//! every member sequentially as the reference, then batched — with
-//! per-member checkpoint cells enabled so the trial also exercises the
-//! store path — and compares [`SimStats`] plus the FNV state digest.
+//! Each trial draws a fault plan (rate × seed × benchmark × estimator
+//! kind), an interval, and the boundary a kill strikes after. It runs
+//! the loop's schedule by hand to that boundary with a live checkpoint
+//! cell, stores the `{phase, sim}` partial there as the loop does, and
+//! drops the machine. `run_pipeline_checkpointed` then resumes from the
+//! partial, and the result must match a run with a disabled cell in
+//! [`SimStats`] and the FNV state digest.
 
 use perconf_bpred::{baseline_bimodal_gshare, SimPredictor, Snapshot};
 use perconf_core::{
     JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig, SimEstimator, SpeculationController,
 };
-use perconf_experiments::common::{
-    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, BatchMember, Scale,
-};
+use perconf_experiments::common::{run_pipeline_checkpointed, Scale};
 use perconf_experiments::runner::CheckpointCell;
 use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
-use perconf_pipeline::{Controller, PipelineConfig};
+use perconf_pipeline::{Controller, PipelineConfig, SimError, Simulation};
 use perconf_workload::WorkloadConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde::Value;
 use std::path::PathBuf;
 
 const BENCHES: [&str; 4] = ["gcc", "twolf", "mcf", "gzip"];
@@ -81,66 +82,87 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Runs the loop's checkpoint schedule by hand (warmup boundaries,
+/// the end of warmup stored once in the run phase, run boundaries),
+/// storing each boundary's `{phase, sim}` partial into `cell` until
+/// boundary `kill` has been stored, then drops the machine. A `kill`
+/// past the last boundary leaves the last one's partial, as a run
+/// killed after its final chunk does. Returns the boundaries stored.
+fn run_until_killed(
+    mut sim: Simulation,
+    scale: Scale,
+    interval: u64,
+    cell: &CheckpointCell,
+    kill: usize,
+) -> Result<usize, SimError> {
+    let mut stored = 0;
+    let mut boundary = |sim: &Simulation, phase: u64| {
+        cell.store(|| {
+            Value::Object(vec![
+                ("phase".into(), Value::UInt(phase)),
+                ("sim".into(), sim.save_state()),
+            ])
+        });
+        stored += 1;
+        stored > kill
+    };
+    while sim.stats().retired < scale.warmup_uops {
+        sim.try_run(interval.min(scale.warmup_uops - sim.stats().retired))?;
+        if sim.stats().retired < scale.warmup_uops && boundary(&sim, 0) {
+            return Ok(stored);
+        }
+    }
+    sim.try_warmup(0)?;
+    if boundary(&sim, 1) {
+        return Ok(stored);
+    }
+    while sim.stats().retired < scale.run_uops {
+        sim.try_run(interval.min(scale.run_uops - sim.stats().retired))?;
+        if sim.stats().retired < scale.run_uops && boundary(&sim, 1) {
+            return Ok(stored);
+        }
+    }
+    Ok(stored)
+}
+
 #[test]
-fn random_width_fault_plan_interval_triples_are_invariant() {
+fn random_fault_plan_interval_kill_triples_are_invariant() {
     let mut rng = SmallRng::seed_from_u64(0x5EED_BA7C);
     let scale = Scale::tiny();
     let cfg = PipelineConfig::deep().gated(1);
     let dir = fresh_dir("trials");
 
     for trial in 0..5u32 {
-        let width = rng.gen_range(1usize..=8);
+        let plan = Plan::draw(&mut rng);
         let interval = rng.gen_range(3_000u64..30_000);
-        let plans: Vec<Plan> = (0..width).map(|_| Plan::draw(&mut rng)).collect();
-        let wls: Vec<WorkloadConfig> = plans.iter().map(Plan::wl).collect();
+        let boundaries = (scale.warmup_uops - 1) / interval + 1 + (scale.run_uops - 1) / interval;
+        let kill = rng.gen_range(0..boundaries as usize);
+        let wl = plan.wl();
+        let what = format!("trial {trial} ({plan:?}, interval {interval}, kill {kill})");
 
-        let mut refs = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            let sim = run_pipeline_checkpointed(
-                &wls[i],
-                cfg,
-                || plan.ctl(),
-                scale,
-                &CheckpointCell::disabled(),
-                interval,
-            )
-            .unwrap_or_else(|e| panic!("trial {trial} member {i} sequential: {e:?}"));
-            refs.push((sim.stats().clone(), sim.state_digest()));
-        }
+        let reference = run_pipeline_checkpointed(
+            &wl,
+            cfg,
+            || plan.ctl(),
+            scale,
+            &CheckpointCell::disabled(),
+            interval,
+        )
+        .unwrap_or_else(|e| panic!("{what}: reference: {e:?}"));
 
-        // Batched, with live checkpoint cells so the store path is
-        // part of the property (stores must never perturb the run).
-        let cells: Vec<CheckpointCell> = (0..width)
-            .map(|i| CheckpointCell::at(dir.join(format!("t{trial}-m{i}.part.psnap"))))
-            .collect();
-        let members: Vec<BatchMember> = plans
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| BatchMember {
-                wl: &wls[i],
-                mk_ctl: Box::new(move || plan.ctl()),
-                cell: &cells[i],
-            })
-            .collect();
-        let outs = run_pipeline_checkpointed_batch(&members, cfg, scale, interval);
-        drop(members);
-        for (i, out) in outs.into_iter().enumerate() {
-            let sim = out.unwrap_or_else(|e| panic!("trial {trial} member {i} batched: {e:?}"));
-            assert_eq!(
-                sim.stats(),
-                &refs[i].0,
-                "trial {trial} width {width} interval {interval} member {i} ({plans:?}): stats diverged",
-            );
-            assert_eq!(
-                sim.state_digest(),
-                refs[i].1,
-                "trial {trial} width {width} interval {interval} member {i} ({plans:?}): state diverged",
-            );
-            assert!(
-                cells[i].load().is_none(),
-                "trial {trial} member {i}: completed member left its partial checkpoint"
-            );
-        }
+        let cell = CheckpointCell::at(dir.join(format!("t{trial}.part.psnap")));
+        let killed = Simulation::new(cfg, &wl, plan.ctl());
+        let stored = run_until_killed(killed, scale, interval, &cell, kill)
+            .unwrap_or_else(|e| panic!("{what}: killed run: {e:?}"));
+        assert!(stored > 0, "{what}: no partial to resume from");
+        let resumed = run_pipeline_checkpointed(&wl, cfg, || plan.ctl(), scale, &cell, interval)
+            .unwrap_or_else(|e| panic!("{what}: resume: {e:?}"));
+        assert_eq!(resumed.stats(), reference.stats(), "{what}: stats diverged");
+        assert_eq!(
+            resumed.state_digest(),
+            reference.state_digest(),
+            "{what}: state diverged"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);
