@@ -153,9 +153,9 @@ fn simulator_bench(c: &mut Criterion) {
         });
     });
     // The same run with the whole observability stack attached and
-    // live: event tracing at Standard level (a no-op ZST unless built
-    // with `--features trace`) plus per-stage profiling. The gap to
-    // the bench above is the total observability cost.
+    // live: event tracing at Standard level (every resolved branch
+    // pushed into the ring) plus per-stage profiling. The gap to the
+    // bench above is the total observability cost.
     g.bench_function("cycle-throughput-20k-uops-observed", |b| {
         b.iter(|| {
             let mut sim = Simulation::with_defaults(PipelineConfig::deep(), &wl);
@@ -177,9 +177,8 @@ fn obs_bench(c: &mut Criterion) {
     g.sample_size(20);
     g.measurement_time(Duration::from_secs(3));
     g.warm_up_time(Duration::from_secs(1));
-    // Cost of one record() call with the tracer live. Compiled out
-    // (the default) this measures the empty inlined stub; with
-    // `--features trace` it measures the ring-buffer push.
+    // Cost of one record() call with the tracer live: the level check
+    // and the ring-buffer push.
     g.bench_function("tracer-record", |b| {
         let t = obs::Tracer::new();
         t.set_level(obs::TraceLevel::Standard);

@@ -67,10 +67,9 @@
 //! * `--metrics-out <file>` writes a JSON object with the run's merged
 //!   hierarchical counter snapshot (for experiments that produce one;
 //!   currently the `faults` sweep) and the profile rows;
-//! * `--trace-out <file>` records structured events during the run and
-//!   flushes them to a checksummed `.pobs` trace. In default builds
-//!   the tracer is compiled out and the trace is empty; build with
-//!   `--features trace` to capture events;
+//! * `--trace-out <file>` records structured events during the run
+//!   (branch resolutions, gate stalls, checkpoint writes, retries) and
+//!   flushes them to a checksummed `.pobs` trace;
 //! * `repro obs <file.pobs>` summarizes a recorded trace (event counts
 //!   by kind, drops) and exports it as JSON lines with `--jsonl`.
 //!
@@ -129,7 +128,7 @@ use perconf_experiments::{
     table6, verify, Scale,
 };
 use perconf_faults::{process::parse_script, ChaosConfig};
-use perconf_obs::{pobs, CounterSnapshot, TraceLevel, Tracer};
+use perconf_obs::{pobs, CounterSnapshot, TraceLevel};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -1174,12 +1173,6 @@ fn main() -> ExitCode {
         common::profiler().enable(true);
     }
     if args.trace_out.is_some() {
-        if !Tracer::COMPILED {
-            eprintln!(
-                "warning: tracer is compiled out in this build — the trace will be empty \
-                 (rebuild with `--features trace` to capture events)"
-            );
-        }
         common::tracer().set_level(TraceLevel::Standard);
     }
     // Table/figure experiments parallelize per benchmark through the

@@ -121,17 +121,6 @@ pub fn tracer() -> &'static Tracer {
     &obs().0
 }
 
-/// An owned handle on the process-wide tracer, for attaching to a
-/// simulation.
-// With the `trace` feature off the handle is a `Copy` ZST and this
-// clone is flagged as redundant; with the feature on it is an `Arc`
-// clone and required. One allow here keeps the call sites identical
-// in both builds.
-#[allow(clippy::clone_on_copy)]
-fn tracer_handle() -> Tracer {
-    tracer().clone()
-}
-
 /// The process-wide profiler every driver-built simulation and
 /// experiment phase reports into.
 #[must_use]
@@ -464,7 +453,7 @@ pub fn run_pipeline(
     scale: Scale,
 ) -> SimStats {
     let mut sim = Simulation::new(cfg, wl, ctl);
-    sim.set_tracer(tracer_handle());
+    sim.set_tracer(tracer().clone());
     sim.set_profiler(profiler().clone());
     {
         let _s = profiler().scope("phase/warmup");
@@ -490,7 +479,7 @@ fn start_or_resume(
 ) -> (Simulation, u64) {
     let fresh = || {
         let mut sim = Simulation::new(cfg, wl, mk_ctl());
-        sim.set_tracer(tracer_handle());
+        sim.set_tracer(tracer().clone());
         sim.set_profiler(profiler().clone());
         sim
     };

@@ -3,7 +3,8 @@
 //! identical for 1 worker process, N worker processes, and N worker
 //! processes that are chaos-killed mid-cell and respawned — and the
 //! `repro` / `validate` binaries must honour the documented exit-code
-//! taxonomy.
+//! taxonomy. A `repro --trace-out` run records events and writes the
+//! same results as a plain one.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -171,6 +172,37 @@ fn resuming_a_half_finished_queue_completes_without_recompute() {
 
     let _ = std::fs::remove_dir_all(&queue);
     let _ = std::fs::remove_dir_all(&json);
+}
+
+#[test]
+fn trace_out_records_events_without_changing_results() {
+    let (traced, plain) = (fresh_dir("traced"), fresh_dir("plain"));
+    let trace = fresh_dir("trace").with_extension("pobs");
+    let run = |json: &Path, extra: &[&str]| {
+        let mut args = vec!["faults", "--grid", "small", "--tiny", "--seed", "11"];
+        args.extend(["--jobs", "1", "--json", json.to_str().unwrap()]);
+        let out = repro(&[&args[..], extra].concat());
+        assert!(out.status.success(), "{}", stderr_of(&out));
+        out
+    };
+    let out = run(&traced, &["--trace-out", trace.to_str().unwrap()]);
+    run(&plain, &[]);
+    assert!(traced.join("faults.json").is_file());
+    assert_identical_trees(&traced, &plain);
+
+    let file = perconf_obs::pobs::read(&trace).expect("read the recorded trace");
+    assert!(!file.events.is_empty(), "the trace holds no events");
+    for kind in ["branch_resolved", "gate_stall_begin"] {
+        assert!(
+            file.events.iter().any(|e| e.kind_name() == kind),
+            "the trace holds no {kind} event"
+        );
+    }
+    let err = stderr_of(&out);
+    assert!(!err.contains("compiled out"), "{err}");
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_dir_all(&traced);
+    let _ = std::fs::remove_dir_all(&plain);
 }
 
 // ----- exit-code taxonomy ------------------------------------------

@@ -11,7 +11,7 @@
 use perconf_experiments::runner::{CellSpec, RunError, RunnerConfig, Scheduler, SchedulerConfig};
 use perconf_experiments::{common, faults, Scale};
 use perconf_faults::{FaultConfig, FaultPlan};
-use perconf_obs::{TraceLevel, Tracer};
+use perconf_obs::TraceLevel;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -295,12 +295,8 @@ fn tracing_and_profiling_do_not_change_sweep_results() {
             .any(|r| r.name == "phase/run" && r.calls > 0),
         "profiler captured no phase/run spans: {profile:?}"
     );
-    // …and, when the tracer is compiled in, captured real events.
-    if Tracer::COMPILED {
-        assert!(!events.is_empty(), "trace-enabled build recorded nothing");
-    } else {
-        assert!(events.is_empty(), "compiled-out tracer produced events");
-    }
+    // …and captured real events.
+    assert!(!events.is_empty(), "the traced sweep recorded nothing");
 }
 
 #[test]

@@ -3,14 +3,14 @@
 //! Three independent facilities, all designed around the same two
 //! contracts:
 //!
-//! * **Zero overhead when disabled.** The event tracer is gated by the
-//!   `trace` cargo feature — compiled out (the default), [`Tracer`] is
-//!   a zero-sized type with empty inlined methods, so instrumentation
-//!   call sites in the cycle loop vanish. The profiler is gated at
-//!   runtime by one relaxed atomic load per [`Profiler::scope`] call.
-//!   Counters are not collected at all during simulation: they are
-//!   *derived* from state the simulator already keeps, materialized on
-//!   demand into a [`CounterSnapshot`].
+//! * **One atomic load when disabled.** Every build carries the event
+//!   tracer and the profiler, and both are gated at runtime: an
+//!   instrumentation site in the cycle loop costs one relaxed atomic
+//!   load per [`Tracer::enabled`] guard or [`Profiler::scope`] call
+//!   while they are off (the default). Counters are not collected at
+//!   all during simulation: they are *derived* from state the
+//!   simulator already keeps, materialized on demand into a
+//!   [`CounterSnapshot`].
 //!
 //! * **Derived outputs never feed back.** Nothing in this crate is
 //!   consulted by the simulator when making a decision, and none of it

@@ -530,9 +530,8 @@ impl Simulation {
         &self.mem
     }
 
-    /// Attaches a tracer; subsequent cycles record events into it
-    /// (subject to its runtime level, and only in builds with the
-    /// `trace` feature).
+    /// Attaches a tracer; subsequent cycles record events into it,
+    /// subject to its runtime level.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -2294,9 +2293,6 @@ mod tests {
         let mut observed = Simulation::new(PipelineConfig::deep().gated(1), &wl, controller(ce()));
         let tracer = Tracer::new();
         tracer.set_level(TraceLevel::Verbose);
-        // Redundant with the feature off (ZST handle), required with it
-        // on (Arc handle); one allow keeps the test identical in both.
-        #[allow(clippy::clone_on_copy)]
         observed.set_tracer(tracer.clone());
         let profiler = Profiler::default();
         profiler.enable(true);
@@ -2311,11 +2307,9 @@ mod tests {
         assert_eq!(plain.state_digest(), observed.state_digest());
         assert_eq!(plain.counters(), observed.counters());
 
-        if Tracer::COMPILED {
-            let (events, _) = tracer.drain();
-            assert!(!events.is_empty(), "traced run produced no events");
-            assert!(events.iter().any(|e| e.kind_name() == "confidence_bucket"));
-            assert!(events.iter().any(|e| e.kind_name() == "branch_resolved"));
-        }
+        let (events, _) = tracer.drain();
+        assert!(!events.is_empty(), "traced run produced no events");
+        assert!(events.iter().any(|e| e.kind_name() == "confidence_bucket"));
+        assert!(events.iter().any(|e| e.kind_name() == "branch_resolved"));
     }
 }

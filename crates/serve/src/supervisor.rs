@@ -60,10 +60,6 @@ pub struct SupervisorConfig {
     pub jobs: usize,
     /// Per-cell watchdog override passed through to the runner.
     pub cell_timeout: Option<Duration>,
-    /// Hot-tier (decoded, in-memory) cache entries.
-    pub cache_mem: usize,
-    /// Disk-tier cache entries.
-    pub cache_disk: usize,
 }
 
 impl SupervisorConfig {
@@ -78,8 +74,6 @@ impl SupervisorConfig {
             watchdog: Duration::from_secs(600),
             jobs: 1,
             cell_timeout: None,
-            cache_mem: 64,
-            cache_disk: 4096,
         }
     }
 }
@@ -206,11 +200,7 @@ impl Supervisor {
         for sub in ["pending", "results", "experiments"] {
             std::fs::create_dir_all(cfg.state_dir.join(sub))?;
         }
-        let cache = CellCache::open(CacheConfig {
-            dir: cfg.state_dir.join("cache"),
-            mem_capacity: cfg.cache_mem,
-            disk_capacity: cfg.cache_disk,
-        })?;
+        let cache = CellCache::open(CacheConfig::at(cfg.state_dir.join("cache")))?;
         let shared = Arc::new(Shared {
             cache: Mutex::new(cache),
             counters: Mutex::new(Counters::new()),
