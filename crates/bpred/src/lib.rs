@@ -11,8 +11,6 @@
 //!   in [`Counters`] tables;
 //! * [`Bimodal`] — per-PC 2-bit counters;
 //! * [`Gshare`] — global-history XOR-indexed counters (McFarling);
-//! * [`PasPredictor`] — two-level per-address (PAs) predictor, needed
-//!   by the Tyson pattern-based confidence estimator;
 //! * [`PerceptronPredictor`] — the Jimenez–Lin perceptron predictor,
 //!   trained with taken/not-taken directions;
 //! * [`Hybrid`] — a McFarling meta/chooser combiner over any two
@@ -54,7 +52,6 @@ pub mod frame;
 mod gshare;
 mod history;
 mod hybrid;
-mod pas;
 mod perceptron;
 mod snapshot;
 mod tage;
@@ -67,7 +64,6 @@ pub use frame::atomic_write;
 pub use gshare::Gshare;
 pub use history::GlobalHistory;
 pub use hybrid::Hybrid;
-pub use pas::PasPredictor;
 pub use perceptron::{flip_weight_bit, perceptron_theta, PerceptronPredictor};
 pub use snapshot::{
     digest_bytes, digest_value, SimPredictor, Snapshot, SnapshotError, StateDigest,

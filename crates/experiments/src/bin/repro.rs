@@ -9,7 +9,6 @@
 //!           [--resume <dir>] [--json <dir>] [--csv <dir>]
 //!           [--timing <file>] [--force]
 //! repro verify [--bench <name>] [--full | --tiny]
-//!              [--trace <file> [--tolerant]]
 //! repro obs <file.pobs> [--jsonl <file>] [--force]
 //! repro sweep --queue <dir> [--workers <n>] [--grid full|small]
 //!             [--lease-secs <s>] [--chaos <spec>] [--cell-timeout <s>]
@@ -82,10 +81,7 @@
 //! identical machines must stay digest-identical, a snapshot written
 //! through the checksummed container and restored into a fresh machine
 //! must replay identically, and an injected single-bit fault *must* be
-//! reported as a divergence with the cycle it first appeared at. With
-//! `--trace` it also integrity-scans an on-disk uop trace (add
-//! `--tolerant` to skip corrupt records, resync and count them instead
-//! of aborting).
+//! reported as a divergence with the cycle it first appeared at.
 //!
 //! `sweep` runs the faults grid across `--workers <n>` worker
 //! *processes* coordinated through a filesystem lease queue at
@@ -244,8 +240,6 @@ struct Args {
     /// SPECint2000 set for table/figure experiments; `verify` uses the
     /// first entry (default `gcc`).
     bench: Vec<String>,
-    trace: Option<PathBuf>,
-    tolerant: bool,
     profile: bool,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
@@ -282,7 +276,7 @@ struct Args {
 const USAGE: &str = "usage: repro <experiment> [--full | --tiny] [--json <dir>] [--csv <dir>] [--resume <dir>] [--seed <u64>] [--jobs <n>] [--batch <n>] [--timing <file>]\n\
      \x20            [--grid full|small] [--profile] [--metrics-out <file>] [--trace-out <file>] [--force]\n\
      \x20      repro run <spec.toml|spec.json> [--check] [--jobs <n>] [--batch <n>] [--resume <dir>] [--json <dir>] [--csv <dir>] [--timing <file>] [--force]\n\
-     \x20      repro verify [--bench <name>] [--full | --tiny] [--trace <file> [--tolerant]]\n\
+     \x20      repro verify [--bench <name>] [--full | --tiny]\n\
      \x20      repro obs <file.pobs> [--jsonl <file>] [--force]\n\
      \x20      repro sweep --queue <dir> [--workers <n>] [--grid full|small] [--lease-secs <s>] [--chaos <spec>] [--cell-timeout <s>]\n\
      \x20      repro faults --gc --resume <dir>\n\
@@ -304,8 +298,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut batch = 1usize;
     let mut timing = None;
     let mut bench = Vec::new();
-    let mut trace = None;
-    let mut tolerant = false;
     let mut profile = false;
     let mut metrics_out = None;
     let mut trace_out = None;
@@ -368,10 +360,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--bench" => {
                 bench.push(it.next().ok_or("--bench needs a benchmark name")?);
             }
-            "--trace" => {
-                trace = Some(PathBuf::from(it.next().ok_or("--trace needs a file")?));
-            }
-            "--tolerant" => tolerant = true,
             "--profile" => profile = true,
             "--metrics-out" => {
                 metrics_out = Some(PathBuf::from(
@@ -434,8 +422,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         jobs,
         timing,
         bench,
-        trace,
-        tolerant,
         profile,
         metrics_out,
         trace_out,
@@ -497,19 +483,6 @@ fn run_verify(args: &Args) -> Result<(), String> {
     let faulted = verify::lockstep(&wl, cfg, mk, scale, interval, Some(inject))
         .map_err(|e| format!("inject probe failed: {e}"))?;
     println!("{}", faulted.render());
-
-    if let Some(path) = &args.trace {
-        let t = verify::check_trace(path, args.tolerant)
-            .map_err(|e| format!("trace scan of {}: {e}", path.display()))?;
-        println!(
-            "trace {}: {} records, {} resyncs, {} bytes skipped ({} mode)",
-            path.display(),
-            t.records,
-            t.resyncs,
-            t.skipped_bytes,
-            if args.tolerant { "tolerant" } else { "strict" }
-        );
-    }
 
     if clean.diverged() {
         return Err("clean lockstep run diverged: the simulator is nondeterministic".into());

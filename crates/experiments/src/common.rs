@@ -429,21 +429,6 @@ impl BaselineSet {
     }
 }
 
-/// Runs one benchmark under `baseline_cfg` and `variant_cfg` with
-/// independently constructed controllers and compares them.
-pub fn compare_runs(
-    wl: &WorkloadConfig,
-    baseline_cfg: PipelineConfig,
-    variant_cfg: PipelineConfig,
-    mk_baseline: impl FnOnce() -> Controller,
-    mk_variant: impl FnOnce() -> Controller,
-    scale: Scale,
-) -> (GatingOutcome, SimStats, SimStats) {
-    let base = run_pipeline(wl, baseline_cfg, mk_baseline(), scale);
-    let var = run_pipeline(wl, variant_cfg, mk_variant(), scale);
-    (outcome(&base, &var), base, var)
-}
-
 /// Runs one benchmark through the pipeline at the given scale.
 #[must_use]
 pub fn run_pipeline(
@@ -506,11 +491,11 @@ fn start_or_resume(
     }
 }
 
-/// Checkpoints `{phase, sim}` into `cell` at one boundary. The trace
-/// event and the `phase/checkpoint` span mark every boundary; the
-/// snapshot itself is built only when the cell persists.
+/// Checkpoints `{phase, sim}` into `cell` at one boundary. The
+/// `phase/checkpoint` span marks every boundary; only a cell that
+/// persists records the trace event and builds the snapshot.
 fn checkpoint(cell: &CheckpointCell, sim: &Simulation, phase: u64) {
-    if tracer().enabled() {
+    if tracer().enabled() && cell.path().is_some() {
         tracer().record(TraceEvent::CheckpointWrite {
             retired: sim.stats().retired,
             phase,

@@ -208,7 +208,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
             timeout: cfg.timeout,
             retries: 1,
             backoff: CELL_BACKOFF,
-            ..RunnerConfig::default()
         },
         jobs: 1,
     });

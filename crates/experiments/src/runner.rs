@@ -141,15 +141,11 @@ pub struct RunnerConfig {
     /// Extra attempts after the first failure.
     pub retries: u32,
     /// Sleep before retry `n` is `backoff << (n - 1)` (exponential),
-    /// stretched by up to [`jitter`](Self::jitter).
+    /// multiplied by `1 + 0.5 * u` where `u` in `[0, 1)` derives from
+    /// an FNV digest of `(key, attempt)` — deterministic per cell,
+    /// decorrelated across cells, so a fleet of actors retrying the
+    /// same transient fault does not thunder back in lockstep.
     pub backoff: Duration,
-    /// Jitter fraction in `0.0..=1.0`: each retry sleep is multiplied
-    /// by `1 + jitter * u` where `u` derives from an FNV digest of
-    /// `(key, attempt)` — deterministic per cell, decorrelated across
-    /// cells, so a fleet of actors retrying the same transient fault
-    /// does not thunder back in lockstep. `0.0` (the default) keeps
-    /// the historical exact-exponential schedule.
-    pub jitter: f64,
 }
 
 impl Default for RunnerConfig {
@@ -160,7 +156,6 @@ impl Default for RunnerConfig {
             timeout: Some(Duration::from_secs(600)),
             retries: 1,
             backoff: Duration::from_millis(200),
-            jitter: 0.0,
         }
     }
 }
@@ -537,21 +532,18 @@ where
 }
 
 /// Sleep before retry `attempt` (1-based): exponential base stretched
-/// by a jitter factor hashed from `(key, attempt)`. Purely a function
-/// of its inputs — reruns of the same cell wait the same time, which
-/// keeps wall-clock reports comparable — while distinct keys spread
-/// across the jitter window instead of retrying in lockstep.
+/// by up to half again, by a factor hashed from `(key, attempt)`.
+/// Purely a function of its inputs — reruns of the same cell wait the
+/// same time, which keeps wall-clock reports comparable — while
+/// distinct keys spread across the stretch window instead of retrying
+/// in lockstep.
 fn retry_backoff(cfg: &RunnerConfig, key: &str, attempt: u32) -> Duration {
     let base = cfg.backoff * (1 << (attempt - 1));
-    let jitter = cfg.jitter.clamp(0.0, 1.0);
-    if jitter == 0.0 {
-        return base;
-    }
     let h = perconf_bpred::digest_bytes(format!("{key}#retry{attempt}").as_bytes());
     // Low 10 digest bits → uniform fraction in [0, 1).
     #[allow(clippy::cast_precision_loss)]
     let u = (h & 0x3ff) as f64 / 1024.0;
-    base.mul_f64(1.0 + jitter * u)
+    base.mul_f64(1.0 + 0.5 * u)
 }
 
 /// One isolated attempt: runs `work` on its own thread under
@@ -1086,34 +1078,25 @@ mod tests {
 
     #[test]
     fn retry_backoff_is_exponential_and_deterministically_jittered() {
-        let plain = RunnerConfig {
+        let cfg = RunnerConfig {
             backoff: Duration::from_millis(100),
             ..RunnerConfig::default()
         };
-        // jitter = 0.0 (default) reproduces the exact historical schedule.
-        assert_eq!(retry_backoff(&plain, "k", 1), Duration::from_millis(100));
-        assert_eq!(retry_backoff(&plain, "k", 2), Duration::from_millis(200));
-        assert_eq!(retry_backoff(&plain, "k", 3), Duration::from_millis(400));
-
-        let jittered = RunnerConfig {
-            jitter: 0.5,
-            ..plain.clone()
-        };
         for attempt in 1..=3 {
-            let base = plain.backoff * (1 << (attempt - 1));
-            let d = retry_backoff(&jittered, "cell-a", attempt);
-            // Stretch only, bounded by the jitter fraction...
+            let base = cfg.backoff * (1 << (attempt - 1));
+            let d = retry_backoff(&cfg, "cell-a", attempt);
+            // Stretch only, by at most half again...
             assert!(
                 d >= base && d <= base.mul_f64(1.5),
                 "attempt {attempt}: {d:?}"
             );
             // ...and a pure function of (key, attempt).
-            assert_eq!(d, retry_backoff(&jittered, "cell-a", attempt));
+            assert_eq!(d, retry_backoff(&cfg, "cell-a", attempt));
         }
         // Distinct keys land at distinct offsets (decorrelated retries).
         let offsets: Vec<Duration> = ["cell-a", "cell-b", "cell-c", "cell-d"]
             .iter()
-            .map(|k| retry_backoff(&jittered, k, 1))
+            .map(|k| retry_backoff(&cfg, k, 1))
             .collect();
         assert!(offsets.windows(2).any(|w| w[0] != w[1]));
     }

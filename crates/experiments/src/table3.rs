@@ -4,7 +4,8 @@
 //! 4 KB of storage, over all twelve benchmarks.
 
 use crate::common::{
-    benchmarks, jrs, perceptron, trace_eval_each, PredictorKind, Scale, TracePair,
+    benchmarks, jobs, jrs, par_map_ordered, perceptron, trace_eval_each, PredictorKind, Scale,
+    TracePair,
 };
 use crate::paper;
 use perconf_metrics::{ConfusionMatrix, Table};
@@ -36,12 +37,13 @@ pub const JRS_LAMBDAS: [u8; 4] = [3, 7, 11, 15];
 pub const PERCEPTRON_LAMBDAS: [i32; 4] = [25, 0, -25, -50];
 
 /// Runs the Table 3 experiment: per benchmark, one trace pass trains
-/// all eight design points (each with its own baseline predictor);
-/// each point's matrices then merge in benchmark order.
+/// all eight design points (each with its own baseline predictor).
+/// The passes fan out over [`jobs`] worker threads, and each point's
+/// matrices then merge in benchmark order, so the result is identical
+/// at any job count.
 #[must_use]
 pub fn run(scale: Scale) -> Table3 {
-    let mut totals = [ConfusionMatrix::new(); JRS_LAMBDAS.len() + PERCEPTRON_LAMBDAS.len()];
-    for wl in benchmarks() {
+    let per_bench = par_map_ordered(jobs(), &benchmarks(), |wl| {
         let estimators = JRS_LAMBDAS
             .iter()
             .map(|&l| jrs(l))
@@ -53,8 +55,11 @@ pub fn run(scale: Scale) -> Table3 {
             .iter_mut()
             .map(|(p, ce)| (p.as_mut() as _, ce.as_mut() as _))
             .collect();
-        let cms = trace_eval_each(&wl, &mut pairs, scale.warmup_branches, scale.run_branches);
-        for (total, cm) in totals.iter_mut().zip(&cms) {
+        trace_eval_each(wl, &mut pairs, scale.warmup_branches, scale.run_branches)
+    });
+    let mut totals = [ConfusionMatrix::new(); JRS_LAMBDAS.len() + PERCEPTRON_LAMBDAS.len()];
+    for cms in &per_bench {
+        for (total, cm) in totals.iter_mut().zip(cms) {
             total.merge(cm);
         }
     }

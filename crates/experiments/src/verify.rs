@@ -2,7 +2,7 @@
 //!
 //! The simulator's reproducibility claim — same workload, same
 //! configuration, same stream of retired uops, bit for bit — is only
-//! worth something if it is *checked*. This module provides three
+//! worth something if it is *checked*. This module provides two
 //! probes, surfaced by `repro verify`:
 //!
 //! * [`lockstep`] runs two independently constructed simulations of
@@ -19,16 +19,12 @@
 //!   [`snapfile`](crate::snapfile) container, restore it into a fresh
 //!   machine, and verify the restored machine tracks the original
 //!   digest-for-digest to the end of the run.
-//! * [`check_trace`] scans an on-disk uop trace through
-//!   [`TraceReader`], optionally in tolerant mode, reporting record
-//!   and resync counts.
 
 use crate::common::Scale;
 use perconf_bpred::Snapshot;
 use perconf_pipeline::{Controller, PipelineConfig, SimError, Simulation};
-use perconf_workload::{TraceReader, WorkloadConfig};
+use perconf_workload::WorkloadConfig;
 use serde::{Serialize, Value};
-use std::io;
 use std::path::Path;
 
 /// A deliberate single-bit state fault, injected into the second
@@ -274,41 +270,6 @@ pub fn replay(
     )
 }
 
-/// Outcome of scanning an on-disk uop trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct TraceCheck {
-    /// Records successfully decoded.
-    pub records: u64,
-    /// Resync events (tolerant mode only; 0 in strict mode).
-    pub resyncs: u64,
-    /// Bytes skipped while resyncing.
-    pub skipped_bytes: u64,
-}
-
-/// Scans a trace file end to end. In strict mode any checksum failure
-/// aborts with the I/O error; in tolerant mode corrupt records are
-/// skipped, the reader resynchronises on the next valid record, and
-/// the skip counts are reported.
-///
-/// # Errors
-///
-/// Propagates [`io::Error`] from opening or (in strict mode) reading
-/// the trace.
-pub fn check_trace(path: &Path, tolerant: bool) -> io::Result<TraceCheck> {
-    let reader = TraceReader::open(path)?;
-    let mut reader = if tolerant { reader.tolerant() } else { reader };
-    let mut records = 0u64;
-    for uop in reader.by_ref() {
-        uop?;
-        records += 1;
-    }
-    Ok(TraceCheck {
-        records,
-        resyncs: reader.skipped(),
-        skipped_bytes: reader.skipped_bytes(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,45 +329,6 @@ mod tests {
         ));
         let r = replay(&wl, cfg(), mk, small_scale(), 20_000, 10_000, &path).unwrap();
         assert!(!r.diverged(), "{}", r.render());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trace_check_strict_and_tolerant_agree_on_clean_traces() {
-        use perconf_workload::{TraceWriter, WorkloadGenerator};
-        let wl = perconf_workload::spec2000_config("gzip").unwrap();
-        let path =
-            std::env::temp_dir().join(format!("perconf-verify-trace-{}.trc", std::process::id()));
-        let mut gen = WorkloadGenerator::new(&wl);
-        TraceWriter::record(&mut gen, 500, &path).unwrap();
-        let strict = check_trace(&path, false).unwrap();
-        let tolerant = check_trace(&path, true).unwrap();
-        assert_eq!(strict.records, 500);
-        assert_eq!(strict, tolerant);
-        assert_eq!(tolerant.resyncs, 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trace_check_tolerant_counts_resyncs_on_damage() {
-        use perconf_workload::{TraceWriter, WorkloadGenerator};
-        let wl = perconf_workload::spec2000_config("gzip").unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "perconf-verify-trace-dmg-{}.trc",
-            std::process::id()
-        ));
-        let mut gen = WorkloadGenerator::new(&wl);
-        TraceWriter::record(&mut gen, 200, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Corrupt one record's checksum region mid-file (header is 16
-        // bytes, records are 27).
-        let off = 16 + 27 * 100 + 5;
-        bytes[off] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(check_trace(&path, false).is_err(), "strict mode must fail");
-        let t = check_trace(&path, true).unwrap();
-        assert!(t.resyncs >= 1);
-        assert!(t.records >= 198);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -53,6 +53,10 @@ fn help_succeeds_and_unknown_flags_are_usage_errors() {
     usage_errors.push((repro, &zero_timeout, "--cell-timeout"));
     // A zero batch width names no group size; it used to run width 1.
     usage_errors.push((repro, &["faults", "--tiny", "--batch", "0"], "--batch"));
+    // `verify` scans no uop trace file; the usage still lists `--trace-out`.
+    let trace = ["verify", "--tiny", "--trace", "x.trc"];
+    usage_errors.push((repro, &trace, "unknown argument: --trace"));
+    usage_errors.push((repro, &["verify", "--tiny", "--tolerant"], "--tolerant"));
     for (bin, args, flag) in usage_errors {
         let out = run(bin, args);
         assert_eq!(

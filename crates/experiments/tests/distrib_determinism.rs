@@ -4,7 +4,8 @@
 //! processes that are chaos-killed mid-cell and respawned — and the
 //! `repro` / `validate` binaries must honour the documented exit-code
 //! taxonomy. A `repro --trace-out` run records events and writes the
-//! same results as a plain one.
+//! same results as a plain one, and records a checkpoint write only
+//! where a checkpoint is persisted.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -190,19 +191,36 @@ fn trace_out_records_events_without_changing_results() {
     assert!(traced.join("faults.json").is_file());
     assert_identical_trees(&traced, &plain);
 
-    let file = perconf_obs::pobs::read(&trace).expect("read the recorded trace");
-    assert!(!file.events.is_empty(), "the trace holds no events");
+    let count = |trace: &Path, kind: &str| {
+        let file = perconf_obs::pobs::read(trace).expect("read the recorded trace");
+        assert!(!file.events.is_empty(), "the trace holds no events");
+        file.events.iter().filter(|e| e.kind_name() == kind).count()
+    };
     for kind in ["branch_resolved", "gate_stall_begin"] {
-        assert!(
-            file.events.iter().any(|e| e.kind_name() == kind),
-            "the trace holds no {kind} event"
-        );
+        assert!(count(&trace, kind) > 0, "the trace holds no {kind} event");
     }
+    assert_eq!(
+        count(&trace, "checkpoint_write"),
+        0,
+        "a run without --resume writes no checkpoint"
+    );
     let err = stderr_of(&out);
     assert!(!err.contains("compiled out"), "{err}");
-    let _ = std::fs::remove_file(&trace);
-    let _ = std::fs::remove_dir_all(&traced);
-    let _ = std::fs::remove_dir_all(&plain);
+
+    // With a checkpoint directory each of the 4 cells persists its one
+    // boundary, and the results stay the same.
+    let (resumed, ckpt) = (fresh_dir("traced-resume"), fresh_dir("ckpt"));
+    let resumed_trace = fresh_dir("trace-resume").with_extension("pobs");
+    let (ckpt_arg, trace_arg) = (ckpt.to_str().unwrap(), resumed_trace.to_str().unwrap());
+    run(&resumed, &["--resume", ckpt_arg, "--trace-out", trace_arg]);
+    assert_identical_trees(&resumed, &plain);
+    assert_eq!(count(&resumed_trace, "checkpoint_write"), 4);
+    for f in [&trace, &resumed_trace] {
+        let _ = std::fs::remove_file(f);
+    }
+    for d in [&traced, &plain, &resumed, &ckpt] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 // ----- exit-code taxonomy ------------------------------------------

@@ -92,7 +92,6 @@ fn every_cell_reports_exactly_once_with_terminal_status() {
                 timeout: Some(Duration::from_millis(200)),
                 retries: 1,
                 backoff: Duration::from_millis(1),
-                ..RunnerConfig::default()
             },
             jobs,
         });
@@ -308,7 +307,6 @@ fn sleeping_zombies_are_reaped_once_they_finish() {
             timeout: Some(Duration::from_millis(50)),
             retries: 0,
             backoff: Duration::from_millis(1),
-            ..RunnerConfig::default()
         },
         jobs: 2,
     });

@@ -12,8 +12,8 @@
 //!   structure (perceptron weights, saturating counters, history
 //!   registers) at a configurable per-access rate, plus optional
 //!   transient corruption of the in-flight global history;
-//! * [`CorruptingReader`] — record-level data rot for
-//!   [`TraceReader`](perconf_workload::TraceReader) streams.
+//! * [`ChaosPlan`] — a seeded schedule of process-level faults (kills,
+//!   stalls, delays) for distributed-sweep workers.
 //!
 //! Zero-rate wrappers are bit-identical passthroughs, so a resilience
 //! sweep's baseline point is exactly the unwrapped system.
@@ -40,12 +40,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod corrupt;
 mod plan;
 pub mod process;
 mod wrap;
 
-pub use corrupt::{corrupt_uop, CorruptingReader};
 pub use plan::{FaultConfig, FaultPlan};
 pub use process::{ChaosAction, ChaosConfig, ChaosPlan};
 pub use wrap::{FaultyEstimator, FaultyPredictor};

@@ -443,9 +443,7 @@ pub fn output_atomicity(f: &SourceFile, out: &mut Vec<Finding>) {
             message: format!("direct `{call}` bypasses `atomic_write`"),
             help: "write files through `perconf_bpred::atomic_write` (or the `frame`, \
                    `snapfile` and `pobs` writers built on it), which stages to a unique \
-                   temp sibling and renames; annotate `// lint: allow(output-atomicity)` \
-                   only if the stream is self-checking (checksummed records with \
-                   truncation detection)"
+                   temp sibling and renames"
                 .to_owned(),
         });
     }

@@ -86,9 +86,6 @@ fn runner_config(cfg: &ActorConfig) -> RunnerConfig {
         checkpoint_dir: Some(cfg.checkpoint_dir.clone()),
         resume: true,
         timeout: cfg.cell_timeout.or(RunnerConfig::default().timeout),
-        // Deterministic key-derived jitter decorrelates retries across
-        // the cells an actor re-runs after a transient fault.
-        jitter: 0.5,
         ..RunnerConfig::default()
     }
 }

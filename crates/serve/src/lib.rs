@@ -13,8 +13,9 @@
 //!   attempt, through the same attempt primitive
 //!   (`runner::run_attempt`) that isolates each cell; an incarnation
 //!   the watchdog abandons is joined once it finishes;
-//! - bounded retries with exponential backoff and deterministic
-//!   key-derived jitter (the runner's `RunnerConfig::jitter`);
+//! - bounded retries with exponential backoff, stretched by a
+//!   deterministic key-derived jitter (the runner's one retry
+//!   schedule, `RunnerConfig::backoff`);
 //! - a restart policy: a dead or hung actor is restarted with
 //!   `--resume` semantics (final checkpoints and mid-cell
 //!   `.part.psnap` partials are picked up) up to a budget, after

@@ -46,13 +46,11 @@
 mod behavior;
 mod generator;
 mod spec;
-mod trace;
 mod uop;
 mod zipf;
 
 pub use behavior::{BehaviorClass, BehaviorSpec, BranchSite, LONG_TAP_MAX, LONG_TAP_MIN, MAX_TAP};
 pub use generator::WorkloadGenerator;
 pub use spec::{spec2000, spec2000_config, BehaviorMix, Program, WorkloadConfig, SPEC2000_NAMES};
-pub use trace::{TraceReader, TraceWriter};
 pub use uop::{Branch, MemRef, Uop, UopKind};
 pub use zipf::Zipf;

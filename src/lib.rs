@@ -6,7 +6,7 @@
 //!
 //! * [`workload`] — calibrated synthetic SPECint2000-like uop traces
 //!   (replacing the paper's proprietary Intel LIT traces);
-//! * [`bpred`] — bimodal, gshare, PAs, perceptron and McFarling hybrid
+//! * [`bpred`] — bimodal, gshare, perceptron, TAGE and McFarling hybrid
 //!   branch predictors;
 //! * [`core`] — the paper's contribution: perceptron confidence
 //!   estimation trained on correct/incorrect outcomes, plus the JRS,
@@ -20,8 +20,9 @@
 //!   of the paper's evaluation, plus a panic-isolated, checkpointing
 //!   sweep runner ([`experiments::runner`]);
 //! * [`faults`] — deterministic seeded fault injection: single-bit
-//!   upsets in predictor/estimator state, transient history strikes,
-//!   and trace-record corruption, for the resilience extension.
+//!   upsets in predictor/estimator state and transient history
+//!   strikes, for the resilience extension, and seeded process faults
+//!   for distributed-sweep workers.
 //!
 //! # Quickstart
 //!
