@@ -6,9 +6,10 @@
 //! holds either its previous contents or the new ones — never a torn
 //! prefix.
 //!
-//! Binary artifacts (`.psnap` snapshots, `.pobs` traces) additionally
-//! wrap their payload in one frame, so a bit-rotted or truncated file
-//! is *detected* rather than decoded into nonsense:
+//! Checksummed artifacts (`.psnap` snapshots, `.pcell` finished sweep
+//! cells, `.pobs` traces) additionally wrap their payload in one
+//! frame, so a bit-rotted or truncated file is *detected* rather than
+//! decoded into nonsense:
 //!
 //! ```text
 //! offset  size  field
@@ -24,7 +25,7 @@
 
 use crate::snapshot::digest_bytes;
 use std::fmt;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -164,8 +165,8 @@ pub fn write(path: &Path, magic: [u8; 8], version: u32, payload: &[u8]) -> io::R
     atomic_write(path, &[&header, payload], true)
 }
 
-/// Reads a frame back, verifying magic, version, length and digest,
-/// and returns the payload bytes.
+/// Reads a frame back in one file read, verifying magic, version,
+/// length and digest, and returns the payload bytes.
 ///
 /// # Errors
 ///
@@ -173,42 +174,37 @@ pub fn write(path: &Path, magic: [u8; 8], version: u32, payload: &[u8]) -> io::R
 /// (payload decoding is the caller's job); all of them mean "this
 /// file is unusable" to a resuming caller.
 pub fn read(path: &Path, magic: [u8; 8], version: u32) -> Result<Vec<u8>, FrameError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut header = [0u8; HEADER_BYTES];
-    f.read_exact(&mut header).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated {
-                expected: HEADER_BYTES as u64,
-                got: std::fs::metadata(path).map(|m| m.len()).unwrap_or(0),
-            }
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
-    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let mut bytes = std::fs::read(path)?;
+    if bytes.len() < HEADER_BYTES {
+        return Err(FrameError::Truncated {
+            expected: HEADER_BYTES as u64,
+            got: bytes.len() as u64,
+        });
+    }
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
     let mut found = [0u8; 8];
-    found.copy_from_slice(&header[..8]);
+    found.copy_from_slice(&bytes[..8]);
     if found != magic {
         return Err(FrameError::BadMagic { found });
     }
-    let found = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if found != version {
         return Err(FrameError::UnsupportedVersion { found });
     }
     let (stored, len) = (word(12), word(20));
-    let mut payload = Vec::new();
-    f.read_to_end(&mut payload)?;
+    let payload = &bytes[HEADER_BYTES..];
     if (payload.len() as u64) != len {
         return Err(FrameError::Truncated {
             expected: len,
             got: payload.len() as u64,
         });
     }
-    let computed = digest_bytes(&payload);
+    let computed = digest_bytes(payload);
     if computed != stored {
         return Err(FrameError::DigestMismatch { stored, computed });
     }
-    Ok(payload)
+    bytes.drain(..HEADER_BYTES);
+    Ok(bytes)
 }
 
 #[cfg(test)]

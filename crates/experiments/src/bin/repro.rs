@@ -41,8 +41,11 @@
 //! `--resume <dir>` checkpoints every sweep cell into `<dir>` and, on
 //! a rerun, loads finished cells instead of recomputing them — only
 //! failed or missing cells execute; cells with a mid-run partial
-//! checkpoint continue from it instead of from scratch. `--seed` sets
-//! the fault-injection campaign seed (default 42).
+//! checkpoint continue from it instead of from scratch. The directory
+//! records the run that filled it (experiment, scale, and for `faults`
+//! seed and grid), and a run that differs in any of them is refused
+//! with exit 2; `--bench`, `--jobs` and `--batch` may change between
+//! runs. `--seed` sets the fault-injection campaign seed (default 42).
 //!
 //! `--jobs <n>` fans independent sweep cells (and per-benchmark
 //! pipeline runs inside the table experiments) across `n` worker
@@ -88,7 +91,9 @@
 //! `--queue <dir>` (see `perconf_experiments::distrib`). Output is
 //! byte-identical to a single-process run, including when workers are
 //! killed mid-sweep (`--chaos kill-mid-cell=1.0,seed=3` scripts
-//! deterministic process faults into the fleet). The coordinator
+//! deterministic process faults into the fleet). A queue of another
+//! sweep (seed, scale or grid) is refused with exit 2; `--lease-secs`
+//! may change between runs. The coordinator
 //! respawns dead workers, drains stragglers inline, and merges in
 //! canonical grid order; scheduling statistics land in the queue's
 //! `report.json`, never in the diffable output. `--worker-id` /
@@ -101,9 +106,9 @@
 //! sweep completions run the same collection automatically.
 //!
 //! `serve` / `submit` delegate to the sibling `perconf-serve` binary:
-//! a long-running supervised experiment server with a content-
-//! addressed result cache (repeat submissions re-simulate nothing)
-//! and actor-per-experiment fault tolerance. A waited `submit --json`
+//! a long-running supervised experiment server that keeps one
+//! checkpoint directory per spec (repeat submissions re-simulate
+//! nothing) and actor-per-experiment fault tolerance. A waited `submit --json`
 //! writes byte-identical output to the equivalent one-shot
 //! `repro faults` run. See `perconf-serve --help`.
 //!
@@ -116,7 +121,7 @@
 #![forbid(unsafe_code)]
 
 use perconf_experiments::runner::{
-    default_jobs, degraded_count, gc_dir, Scheduler, SchedulerConfig,
+    bind_dir, default_jobs, degraded_count, gc_dir, Scheduler, SchedulerConfig,
 };
 use perconf_experiments::spec::{Lowered, RunSpec, SpecError};
 use perconf_experiments::{
@@ -700,6 +705,9 @@ fn run_one(
                 chaos,
                 cell_timeout: args.cell_timeout.map(Duration::from_secs),
             };
+            // `run_sweep` refuses another sweep's queue too, but among
+            // its setup failures; checked first, it is a usage error.
+            distrib::check_queue(&cfg).map_err(RunFailure::Usage)?;
             let (t, d) = distrib::run_sweep(&cfg)?;
             println!("{}", t.render());
             println!(
@@ -710,11 +718,10 @@ fn run_one(
             save_json(&args.json_dir, "faults", &t, args.force);
             eprintln!(
                 "[sweep: {} worker(s) spawned, {} respawned, {} chaos exit(s); \
-                 {} recovered from checkpoints, {} recomputed inline, {} mid-cell resume(s)]",
+                 {} recomputed inline, {} mid-cell resume(s)]",
                 d.workers_spawned,
                 d.workers_respawned,
                 d.chaos_exits,
-                d.cells_recovered_from_checkpoint,
                 d.cells_recomputed_inline,
                 d.cells_resumed_mid_cell,
             );
@@ -750,15 +757,18 @@ fn bench_list(args: &Args) -> Result<Vec<perconf_workload::WorkloadConfig>, RunF
 
 /// Builds the scheduler every cell-based experiment shares: `--jobs`
 /// workers, resuming from `--resume <dir>` when given (with the
-/// stale/empty-directory advisory).
-fn scheduler_for(args: &Args) -> Scheduler {
+/// stale/empty-directory advisory) once the directory is bound to
+/// `run` of `experiment` — a directory another run filled is a usage
+/// error.
+fn scheduler_for(args: &Args, experiment: &str, run: &str) -> Result<Scheduler, RunFailure> {
     if let Some(dir) = &args.resume_dir {
         note_resume_dir_state(dir);
+        bind_dir(dir, experiment, run).map_err(RunFailure::Usage)?;
     }
-    Scheduler::new(SchedulerConfig::for_run(
+    Ok(Scheduler::new(SchedulerConfig::for_run(
         args.jobs,
         args.resume_dir.as_deref(),
-    ))
+    )))
 }
 
 /// Maps failed cell keys to a [`RunFailure::FailedCells`], pulling
@@ -829,7 +839,8 @@ fn run_lowered(
             // Routed through the scheduler — not the plain in-process
             // path — so checkpoints, resume, and job fan-out behave
             // like every other cell-based experiment.
-            let mut scheduler = scheduler_for(args);
+            let run = format!("table2 ({})", scale.describe());
+            let mut scheduler = scheduler_for(args, "table2", &run)?;
             let (t, timings) = table2::run_scheduled(scale, &benchmarks, &mut scheduler);
             let t = t.map_err(|failed| failed_cells(failed, &timings))?;
             println!("{}", t.render());
@@ -862,7 +873,8 @@ fn run_lowered(
             save_json(&args.json_dir, &name, &f, args.force);
         }
         Lowered::Faults { scale, seed, grid } => {
-            let mut scheduler = scheduler_for(args);
+            let run = faults::run_name(scale, seed, &grid);
+            let mut scheduler = scheduler_for(args, "faults", &run)?;
             // Width 1 runs the identical engine one cell per group; any
             // width produces byte-identical output (pinned by the batch
             // determinism suite), so batching is purely a throughput

@@ -78,6 +78,22 @@ impl Scale {
             _ => None,
         }
     }
+
+    /// Names this scale and its sizes, such as `tiny scale of
+    /// 20000+40000 uops and 20000+40000 branches`: the preset name
+    /// ([`by_name`](Self::by_name), `custom` for none) for the reader,
+    /// the sizes so a redefined preset is never taken for the old one.
+    #[must_use]
+    pub fn describe(&self) -> String {
+        let name = ["tiny", "quick", "full"]
+            .into_iter()
+            .find(|name| Self::by_name(name) == Some(*self))
+            .unwrap_or("custom");
+        format!(
+            "{name} scale of {}+{} uops and {}+{} branches",
+            self.warmup_uops, self.run_uops, self.warmup_branches, self.run_branches
+        )
+    }
 }
 
 impl Default for Scale {

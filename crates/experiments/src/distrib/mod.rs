@@ -11,30 +11,30 @@
 //! The pieces:
 //!
 //! * [`queue`] — the on-disk protocol: atomic-rename claims, mtime
-//!   leases, reaping, checksummed result publication;
+//!   leases, reaping;
 //! * [`worker`] — the per-process loop: claim, execute the cell's
 //!   [`faults::cell_spec`](crate::faults::cell_spec) on a one-job
-//!   checkpointing [`Scheduler`], heartbeat, publish (with
-//!   exactly-once late-result suppression);
+//!   checkpointing [`Scheduler`] (which stores the cell's checksummed
+//!   final in the queue's `cells/`), heartbeat, complete (with
+//!   exactly-once late-result accounting);
 //! * `timings` — the pacing constants (heartbeats, polls, queue-open
 //!   retries, respawn budget); only the lease varies, through
 //!   [`SweepConfig::lease`];
 //! * [`run_sweep`] — the coordinator: creates the queue, spawns and
 //!   supervises workers (respawning dead ones with a bounded budget),
-//!   drains stragglers inline, then merges results in canonical grid
-//!   order with per-cell fallbacks (published result →
-//!   [`runner::recover`](crate::runner::recover) on the checkpoint
-//!   directory, which serves a final checkpoint or reports a failure
-//!   marker → inline recompute when neither exists, resuming any
-//!   orphaned mid-cell checkpoint) so a crashed worker costs
+//!   drains stragglers inline, then merges in canonical grid order:
+//!   per cell, [`runner::recover`](crate::runner::recover) on the
+//!   `cells/` directory serves the final or reports the failure
+//!   marker, and a cell with neither is recomputed inline (resuming
+//!   any orphaned mid-cell checkpoint), so a crashed worker costs
 //!   wall-clock, never bytes.
 //!
-//! Why the merge repairs the `results/` tree: CI diffs the result
-//! *directories* of a clean run and a chaos run byte-for-byte. A
-//! worker killed between marking a cell done and publishing its result
-//! would otherwise leave a hole in `results/` that the merged table
-//! papers over; the coordinator re-publishes every cell it recovers so
-//! the trees converge too.
+//! Each finished cell is stored once, as its final in `cells/`. CI
+//! diffs the `cells/` trees of a clean run and a chaos run
+//! byte-for-byte: an inline recompute writes the same final a worker
+//! would have, and the merge's clean-completion collection removes
+//! the partials and temp files dead workers left, so the trees
+//! converge too.
 //!
 //! Scheduling statistics (worker counters, respawn counts, chaos
 //! exits) are inherently nondeterministic, so they live in the queue's
@@ -49,7 +49,7 @@ pub use timings::DEFAULT_LEASE;
 pub use worker::{run_worker, WorkerConfig, CHAOS_EXIT};
 
 use crate::common::Scale;
-use crate::faults::{table_from_cells, FaultCell, FaultTable, Grid};
+use crate::faults::{run_name, table_from_cells, FaultCell, FaultTable, Grid};
 use crate::runner::{
     gc_dir, note_degraded, recover, GcReport, RunnerConfig, Scheduler, SchedulerConfig,
 };
@@ -111,12 +111,8 @@ pub struct DistribReport {
     pub workers_respawned: u64,
     /// Worker exits with the scripted chaos status ([`CHAOS_EXIT`]).
     pub chaos_exits: u64,
-    /// Cells whose published result was missing but whose runner final
-    /// checkpoint was intact — recovered and re-published without
-    /// recomputation.
-    pub cells_recovered_from_checkpoint: u64,
     /// Cells the coordinator had to recompute inline during the merge
-    /// (no result, no checkpoint; any orphaned mid-cell partial is
+    /// (no final, no failure marker; any orphaned mid-cell partial is
     /// resumed).
     pub cells_recomputed_inline: u64,
     /// Cells that resumed from an orphaned mid-cell checkpoint —
@@ -140,18 +136,44 @@ fn manifest_for(cfg: &SweepConfig) -> Manifest {
     }
 }
 
+/// Refuses a queue whose manifest records another sweep (seed, scale
+/// or grid): a cell key names only the cell's place in its grid, so
+/// the queue's finals would be served as this sweep's cells. The lease
+/// may change between runs. A missing or unreadable manifest passes;
+/// [`run_sweep`] recreates it.
+///
+/// # Errors
+///
+/// A message naming both sweeps.
+pub fn check_queue(cfg: &SweepConfig) -> Result<(), String> {
+    let Ok(q) = Queue::open(&cfg.queue_root) else {
+        return Ok(());
+    };
+    let m = q.manifest();
+    if (m.seed, m.scale, &m.grid) == (cfg.seed, cfg.scale, &cfg.grid) {
+        return Ok(());
+    }
+    Err(format!(
+        "queue {} holds the cells of {}, not of {}: rerun that, or give this sweep its own queue",
+        cfg.queue_root.display(),
+        run_name(m.scale, m.seed, &m.grid),
+        run_name(cfg.scale, cfg.seed, &cfg.grid)
+    ))
+}
+
 /// Opens the queue if it already matches this sweep, otherwise
 /// (missing, corrupt, or stale manifest) creates it — degradation to
-/// recompute, never an abort.
+/// recompute, never an abort. A queue of another sweep is refused
+/// ([`check_queue`]).
 fn prepare_queue(cfg: &SweepConfig) -> Result<Queue, String> {
+    check_queue(cfg)?;
     let manifest = manifest_for(cfg);
     let manifest_path = cfg.queue_root.join("manifest.json");
     if manifest_path.exists() {
         match Queue::open(&cfg.queue_root) {
             Ok(q) if *q.manifest() == manifest => return Ok(q),
             Ok(_) => eprintln!(
-                "note: queue {} belongs to a different sweep; rewriting its manifest \
-                 (existing cell state for matching keys is kept)",
+                "note: queue {} was created with another lease; rewriting its manifest",
                 cfg.queue_root.display()
             ),
             Err(e) => {
@@ -334,10 +356,9 @@ fn supervise_fleet(
     Ok(spawned)
 }
 
-/// Merges the sweep in canonical grid order. Per cell, in preference
-/// order: published result file → [`recover`] from the checkpoint
-/// directory (a final checkpoint is re-published, a failure marker is
-/// reported as failed) → inline recompute when it finds neither
+/// Merges the sweep in canonical grid order. Per cell, [`recover`]
+/// from the checkpoint directory serves its final or reports its
+/// failure marker, and a cell with neither is recomputed inline
 /// (resuming any orphaned partial). Returns the merged table and the
 /// GC report for the checkpoint directory (GC runs only when every
 /// cell succeeded, so failed cells keep their state for a `--resume`
@@ -358,23 +379,13 @@ fn merge(
     let manifest = queue.manifest().clone();
     let mut cells: Vec<FaultCell> = Vec::new();
     for desc in manifest.cells() {
-        if let Some(cell) = queue.read_result(&desc.key) {
-            cells.push(cell);
-            continue;
-        }
-        // No (usable) published result. A worker may have died between
-        // completing the lease and publishing — its final checkpoint
-        // has the bytes — or spent the cell's retry budget, which its
-        // failure marker reports instead of burning the coordinator on
-        // the cell again.
+        // A worker that spent the cell's retry budget left a failure
+        // marker, which is reported instead of burning the coordinator
+        // on the cell again.
         let outcome = match recover::<FaultCell>(&cells_dir, &desc.key) {
-            Some(Ok(cell)) => {
-                report.cells_recovered_from_checkpoint += 1;
-                Ok(cell)
-            }
-            Some(Err(kind)) => Err(kind),
+            Some(outcome) => outcome,
             None => {
-                // Nothing anywhere: recompute inline (resume picks up
+                // Nothing on disk: recompute inline (resume picks up
                 // an orphaned mid-cell partial if one exists).
                 let r = worker::run_queued_cell(&mut scheduler, &manifest, &desc);
                 if r.resumed_mid_cell {
@@ -387,10 +398,7 @@ fn merge(
             }
         };
         match outcome {
-            Ok(cell) => {
-                queue.publish_result(&desc.key, &cell);
-                cells.push(cell);
-            }
+            Ok(cell) => cells.push(cell),
             Err(kind) => report.failed_cells.push(FailedCell {
                 key: desc.key.clone(),
                 kind,

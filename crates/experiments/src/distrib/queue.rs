@@ -12,9 +12,10 @@
 //!                            faults::CellCoord)
 //!   lease/<key>@<wid>@<ms>   claimed cells; mtime + embedded ms = deadline
 //!   done/<key>               completed cells (claim → done rename)
-//!   cells/                   runner checkpoint dir (<key>.json,
-//!                            <key>.part.psnap, <key>.failed.json)
-//!   results/<key>.psnap      published results (checksummed snapfile)
+//!   cells/                   runner checkpoint dir: each finished
+//!                            cell's one stored result (<key>.pcell,
+//!                            checksummed), <key>.part.psnap,
+//!                            <key>.failed.json
 //!   workers/<wid>.json       per-worker counter snapshots (not merged
 //!                            into byte-compared output)
 //!   report.json              coordinator's sweep report (wall-clock
@@ -26,8 +27,8 @@
 //!   file's mtime is refreshed to "now" on claim and by heartbeats.
 //! * **complete** — `rename(lease-entry, done/<key>)`. If the lease
 //!   was reaped in the meantime the source is gone, the rename fails,
-//!   and the worker knows its result is *late*: it must not publish.
-//!   That failure is the exactly-once guarantee.
+//!   and the worker knows its result is *late*: the cell counts as the
+//!   new owner's. That failure is the exactly-once guarantee.
 //! * **reap** — a lease whose `mtime + ms` deadline has passed is
 //!   renamed back to `todo/<key>` (content is still the `CellDesc`),
 //!   making a dead or hung worker's cell claimable again. The next
@@ -36,21 +37,21 @@
 //!
 //! Corrupt entries never abort a sweep: an unreadable `CellDesc` is
 //! reconstructed from the manifest grid by key (or dropped if the key
-//! is foreign), a corrupt result file is deleted and recomputed, and
-//! every such event is counted via [`note_degraded`] so the binaries
-//! can exit with the documented "degraded" code.
+//! is foreign), a corrupt final in `cells/` is deleted and recomputed
+//! by the runner, and every such event is counted via
+//! [`note_degraded`] so the binaries can exit with the documented
+//! "degraded" code.
 //!
 //! Determinism: nothing in this module influences cell *content*. A
 //! cell's bytes depend only on `(seed, coordinates, scale)` via
 //! [`faults::cell_seed`](crate::faults::cell_seed); the queue decides
-//! only *which process* computes them. Merging reads results in
+//! only *which process* computes them. Merging reads the finals in
 //! canonical grid order, so 1 worker, N workers, and
 //! kill-half-the-workers all serialize to identical bytes.
 
 use crate::common::Scale;
-use crate::faults::{FaultCell, Grid};
+use crate::faults::Grid;
 use crate::runner::note_degraded;
-use crate::snapfile;
 use perconf_bpred::atomic_write;
 use perconf_obs::CounterSnapshot;
 use serde::{Deserialize, Serialize};
@@ -154,7 +155,7 @@ fn sanitize_worker(id: &str) -> String {
 
 impl Queue {
     /// Creates (or re-creates) the queue directory tree and writes the
-    /// manifest. Existing cell/lease/result state is left untouched,
+    /// manifest. Existing cell and lease state is left untouched,
     /// so re-creating over a partially executed queue resumes it.
     ///
     /// # Errors
@@ -170,7 +171,6 @@ impl Queue {
             q.lease_dir(),
             q.done_dir(),
             q.cells_dir(),
-            q.results_dir(),
             q.workers_dir(),
         ] {
             std::fs::create_dir_all(&d)
@@ -247,18 +247,8 @@ impl Queue {
         self.root.join("cells")
     }
 
-    fn results_dir(&self) -> PathBuf {
-        self.root.join("results")
-    }
-
     fn workers_dir(&self) -> PathBuf {
         self.root.join("workers")
-    }
-
-    /// Path of a cell's published (checksummed) result file.
-    #[must_use]
-    pub fn result_path(&self, key: &str) -> PathBuf {
-        self.results_dir().join(format!("{key}.psnap"))
     }
 
     fn sorted_names(dir: &Path) -> Vec<String> {
@@ -275,7 +265,7 @@ impl Queue {
     }
 
     /// Enqueues every manifest cell that is not already queued,
-    /// leased, done, or published. Idempotent: safe to call on a
+    /// leased, or done. Idempotent: safe to call on a
     /// half-finished queue (crash-and-restart of the coordinator).
     ///
     /// # Errors
@@ -291,7 +281,6 @@ impl Queue {
             let todo = self.todo_dir().join(&desc.key);
             if todo.exists()
                 || self.done_dir().join(&desc.key).exists()
-                || self.result_path(&desc.key).exists()
                 || leased.iter().any(|k| k == &desc.key)
             {
                 continue;
@@ -375,7 +364,7 @@ impl Queue {
     /// Marks a claimed cell complete: `rename(lease, done/<key>)`.
     /// Returns `false` when the lease was already reaped — the
     /// exactly-once gate: a `false` here means another worker owns the
-    /// cell now and this worker must **not** publish its result.
+    /// cell now and this worker's result is late.
     pub fn complete(&self, claim: &Claim) -> bool {
         std::fs::rename(&claim.lease_path, self.done_dir().join(&claim.desc.key)).is_ok()
     }
@@ -436,48 +425,6 @@ impl Queue {
     #[must_use]
     pub fn is_done(&self, key: &str) -> bool {
         self.done_dir().join(key).exists()
-    }
-
-    /// Publishes a cell result as a checksummed snapfile. Best-effort:
-    /// a publish failure warns and continues (the coordinator's merge
-    /// falls back to the runner checkpoint, then to recompute).
-    pub fn publish_result(&self, key: &str, cell: &FaultCell) {
-        let path = self.result_path(key);
-        match serde_json::to_value(cell) {
-            Ok(v) => {
-                if let Err(e) = snapfile::write(&path, &v) {
-                    eprintln!("warning: cannot publish result {}: {e}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: cannot serialize result {key}: {e}"),
-        }
-    }
-
-    /// Reads a published result back, verifying the snapfile checksum.
-    /// `None` when absent; a *corrupt* file is deleted, counted as
-    /// degraded input, and also reported as `None` so the caller
-    /// recomputes instead of aborting.
-    #[must_use]
-    pub fn read_result(&self, key: &str) -> Option<FaultCell> {
-        let path = self.result_path(key);
-        if !path.exists() {
-            return None;
-        }
-        let parsed = snapfile::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|v| serde_json::from_value(&v).map_err(|e| e.to_string()));
-        match parsed {
-            Ok(cell) => Some(cell),
-            Err(e) => {
-                eprintln!(
-                    "warning: discarding unusable result {}: {e}",
-                    path.display()
-                );
-                note_degraded();
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        }
     }
 
     /// Persists a worker's counter snapshot (overwrites the previous

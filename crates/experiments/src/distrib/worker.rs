@@ -1,4 +1,4 @@
-//! The distributed-sweep worker loop: claim, execute, publish.
+//! The distributed-sweep worker loop: claim, execute, complete.
 //!
 //! A worker is one OS process running this loop against a shared
 //! [`Queue`]:
@@ -11,11 +11,12 @@
 //!    queue's shared `cells/` directory so an orphaned partial from a
 //!    dead peer is picked up by whoever claims the cell next;
 //! 3. heartbeat the lease from a side thread while the cell runs;
-//! 4. on success, [`complete`](Queue::complete) then
-//!    [`publish_result`](Queue::publish_result) — in that order: a
-//!    failed `complete` means the lease was reaped while we ran, the
-//!    result is *late*, and publishing it could race the new owner,
-//!    so it is dropped (and counted).
+//! 4. [`complete`](Queue::complete) the claim. The cell's result is
+//!    already stored: the scheduler wrote its checksummed final into
+//!    `cells/` before returning. A failed `complete` means the lease
+//!    was reaped while we ran and another worker owns the cell now;
+//!    the result is *late* (its final is byte-identical to the new
+//!    owner's) and only counted.
 //!
 //! The loop exits when a claim attempt finds nothing *and* nothing is
 //! pending. Every decision the worker makes affects only scheduling;
@@ -204,7 +205,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
     let mut scheduler = Scheduler::new(SchedulerConfig {
         runner: RunnerConfig {
             checkpoint_dir: Some(cells_dir.clone()),
-            resume: true,
             timeout: cfg.timeout,
             retries: 1,
             backoff: CELL_BACKOFF,
@@ -274,14 +274,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<CounterSnapshot, String> {
             counters.counter("distrib", "cells_resumed_mid_cell", 1);
         }
         match &report.outcome {
-            Ok(cell) => {
+            Ok(_) => {
                 if queue.complete(&claim) {
-                    queue.publish_result(&desc.key, cell);
                     counters.counter("distrib", "cells_completed", 1);
                 } else {
                     // Reaped while we ran: the cell belongs to someone
-                    // else now. Publishing would race the new owner —
-                    // drop our (byte-identical, but late) result.
+                    // else now, and its final is the same bytes as ours.
                     counters.counter("distrib", "late_results_ignored", 1);
                 }
             }

@@ -113,6 +113,15 @@ impl Grid {
         }
     }
 
+    /// The preset name of this grid, the inverse of
+    /// [`by_name`](Self::by_name); `None` for any other axes.
+    #[must_use]
+    pub fn preset_name(&self) -> Option<&'static str> {
+        ["full", "small"]
+            .into_iter()
+            .find(|name| Self::by_name(name).as_ref() == Some(self))
+    }
+
     /// The grid's cells for campaign `seed`, in canonical order
     /// (estimator, then benchmark, then rate): the one enumeration
     /// `repro faults`, the distributed queue and the experiment server
@@ -233,44 +242,32 @@ pub fn cell_seed(seed: u64, bench: &str, estimator: &str, rate_idx: usize) -> u6
     h ^ (rate_idx as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
 }
 
-/// Canonical checkpoint/queue key for one sweep cell. The campaign
-/// seed is part of the key so resuming (or a distributed queue) with a
-/// different `--seed` recomputes instead of serving another campaign's
-/// checkpoints. [`Grid::cells`] names every cell with it, so a
-/// worker's checkpoint files, the coordinator's result files and the
-/// server's checkpoint directory always agree on names.
+/// Canonical checkpoint/queue key for one sweep cell. It names the
+/// cell's place in its grid, not the scale or the rate value, so a
+/// resume directory or queue records the run it belongs to
+/// ([`run_name`]) and refuses another. [`Grid::cells`] names every
+/// cell with it, so a worker's checkpoint files, the coordinator's
+/// merge and the server's checkpoint directory always agree on names.
 #[must_use]
 pub fn cell_key(seed: u64, estimator: &str, bench: &str, rate_idx: usize) -> String {
     format!("faults-s{seed}-{estimator}-{bench}-r{rate_idx}")
 }
 
-/// Content digest of everything that determines one cell's bytes: the
-/// campaign seed, simulation scale, full coordinates, *and the rate
-/// value itself* (via its exact bit pattern, so `1e-4` and a future
-/// `1.0001e-4` can never alias). This is the experiment server's
-/// cache key — two submissions whose cells digest equal are guaranteed
-/// to simulate identically, so the second can legally be served from
-/// the cache of the first. [`cell_key`] stays the human-readable
-/// file/queue name; this digest is the collision-resistant identity.
+/// Names the sweep campaign `seed` makes of `grid` at `scale`, with
+/// everything that decides its cells' bytes, rate values included: the
+/// record a resume directory keeps of its run
+/// ([`runner::bind_dir`](crate::runner::bind_dir)), and how a queue of
+/// another sweep is named when it is refused.
 #[must_use]
-pub fn cell_content_digest(
-    seed: u64,
-    scale: Scale,
-    estimator: &str,
-    bench: &str,
-    rate_idx: usize,
-    rate: f64,
-) -> u64 {
-    let canon = format!(
-        "faults-cell-v1|seed={seed}|scale={},{},{},{}|est={estimator}|bench={bench}\
-         |ri={rate_idx}|rate_bits={:016x}",
-        scale.warmup_uops,
-        scale.run_uops,
-        scale.warmup_branches,
-        scale.run_branches,
-        rate.to_bits()
-    );
-    perconf_bpred::digest_bytes(canon.as_bytes())
+pub fn run_name(scale: Scale, seed: u64, grid: &Grid) -> String {
+    format!(
+        "faults ({}, seed {seed}, {} grid of {} x {} x {:?})",
+        scale.describe(),
+        grid.preset_name().unwrap_or("custom"),
+        grid.estimators.join(","),
+        grid.benchmarks.join(","),
+        grid.rates
+    )
 }
 
 fn estimator_by_name(name: &str) -> Box<dyn FaultableEstimator> {
@@ -742,41 +739,6 @@ mod tests {
         assert_ne!(a, cell_seed(7, "mcf", "jrs", 1));
         assert_ne!(a, cell_seed(7, "gcc", "perceptron", 1));
         assert_ne!(a, cell_seed(8, "gcc", "jrs", 1));
-    }
-
-    #[test]
-    fn cell_content_digest_separates_every_input_axis() {
-        let base = cell_content_digest(7, Scale::tiny(), "jrs", "gcc", 1, 1e-4);
-        assert_eq!(
-            base,
-            cell_content_digest(7, Scale::tiny(), "jrs", "gcc", 1, 1e-4)
-        );
-        assert_ne!(
-            base,
-            cell_content_digest(8, Scale::tiny(), "jrs", "gcc", 1, 1e-4)
-        );
-        assert_ne!(
-            base,
-            cell_content_digest(7, Scale::full(), "jrs", "gcc", 1, 1e-4)
-        );
-        assert_ne!(
-            base,
-            cell_content_digest(7, Scale::tiny(), "perceptron", "gcc", 1, 1e-4)
-        );
-        assert_ne!(
-            base,
-            cell_content_digest(7, Scale::tiny(), "jrs", "mcf", 1, 1e-4)
-        );
-        assert_ne!(
-            base,
-            cell_content_digest(7, Scale::tiny(), "jrs", "gcc", 2, 1e-4)
-        );
-        // Same index, different rate value: a grid redefinition must
-        // never serve the old grid's cached bytes.
-        assert_ne!(
-            base,
-            cell_content_digest(7, Scale::tiny(), "jrs", "gcc", 1, 2e-4)
-        );
     }
 
     #[test]

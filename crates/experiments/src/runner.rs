@@ -7,11 +7,12 @@
 //! bounded pool of threads (`--jobs` in the binaries), and runs each
 //! group's work through [`run_attempt`] — its own thread, under
 //! `catch_unwind`, with a watchdog timeout — with bounded
-//! retry-with-backoff. Completed cells are checkpointed as JSON so a
-//! rerun with `resume` enabled skips everything already done and only
-//! re-executes cells that failed (their `*.failed.json` markers are
-//! cleared on resume). A single cell is a one-member batch, so one
-//! engine (`execute_batch`) serves every caller.
+//! retry-with-backoff. With a checkpoint directory, each completed
+//! cell is stored once, as a checksummed final (`<key>.pcell`), so a
+//! rerun over the same directory skips everything already done and
+//! only re-executes cells that failed (their `*.failed.json` markers
+//! are cleared on the rerun). A single cell is a one-member batch, so
+//! one engine (`execute_batch`) serves every caller.
 //!
 //! A failed cell produces a [`RunError`] value — the sweep continues
 //! and the driver reports which cells are missing rather than dying.
@@ -26,6 +27,7 @@
 //! report.
 
 use crate::snapfile;
+use perconf_bpred::frame::{self, FrameError};
 use serde::{Deserialize, DeserializeOwned, Serialize, Value};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -127,13 +129,12 @@ impl From<perconf_pipeline::SimError> for RunError {
 /// Per-cell isolation and checkpointing policy of a [`Scheduler`].
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Directory for per-cell checkpoints and failure markers. `None`
-    /// disables persistence (cells still get isolation and retries).
+    /// Directory for per-cell checkpoints and failure markers. Cells
+    /// whose final is already there are loaded instead of
+    /// re-executed, and stale failure markers are cleared so failed
+    /// cells run again. `None` disables persistence (cells still get
+    /// isolation and retries).
     pub checkpoint_dir: Option<PathBuf>,
-    /// When `true`, cells whose checkpoint already exists are loaded
-    /// instead of re-executed, and stale failure markers are cleared
-    /// so failed cells run again.
-    pub resume: bool,
     /// Watchdog: maximum wall-clock time one attempt may take. `None`
     /// waits forever. On expiry the worker thread is abandoned (it
     /// cannot be killed safely) and the attempt counts as failed.
@@ -152,7 +153,6 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         Self {
             checkpoint_dir: None,
-            resume: false,
             timeout: Some(Duration::from_secs(600)),
             retries: 1,
             backoff: Duration::from_millis(200),
@@ -167,7 +167,6 @@ impl RunnerConfig {
     pub fn resuming<P: Into<PathBuf>>(dir: P) -> Self {
         Self {
             checkpoint_dir: Some(dir.into()),
-            resume: true,
             ..Self::default()
         }
     }
@@ -384,10 +383,10 @@ pub struct CellTiming {
 /// still bound the rework on retry.
 ///
 /// This engine alone deletes a member's partial checkpoint: right
-/// after writing its final result, when serving it from one, and
-/// before a non-resume run. The work never does, so a group that dies
-/// in one member's leg keeps the partials of the legs it finished, and
-/// a retry resumes each of them from its last boundary.
+/// after writing its final result, and when serving it from one. The
+/// work never does, so a group that dies in one member's leg keeps the
+/// partials of the legs it finished, and a retry resumes each of them
+/// from its last boundary.
 fn execute_batch<T>(
     cfg: &RunnerConfig,
     zombies: &Zombies,
@@ -410,11 +409,10 @@ where
         .collect();
     let mut reports: Vec<Option<CellReport<T>>> = (0..n).map(|_| None).collect();
     let mut resumed_mid = vec![false; n];
-    for i in 0..n {
-        let key = &spec.keys[i];
-        if cfg.resume {
-            let dir = cfg.checkpoint_dir.as_deref();
-            if let Some(v) = dir.and_then(|d| load_final_checkpoint(d, key)) {
+    if let Some(dir) = cfg.checkpoint_dir.as_deref() {
+        for i in 0..n {
+            let key = &spec.keys[i];
+            if let Some(v) = load_final_checkpoint(dir, key) {
                 // The final result exists; any leftover partial state
                 // is stale.
                 cells[i].clear();
@@ -429,17 +427,11 @@ where
                 continue;
             }
             // A stale failure marker means this cell is being retried.
-            if let Some(p) = failed_file(cfg, key) {
-                let _ = std::fs::remove_file(p);
-            }
+            let _ = std::fs::remove_file(cell_file(dir, key, FAILED));
             // Recorded *before* any attempt runs: continuing a killed
             // cell's mid-run state is a resume, not a retry, and must
             // not inflate the aggregate retry count.
             resumed_mid[i] = cells[i].path().is_some_and(Path::exists);
-        } else {
-            // A fresh (non-resume) sweep must not silently continue
-            // from some earlier run's mid-cell state.
-            cells[i].clear();
         }
     }
     let pending: Vec<usize> = (0..n).filter(|&i| reports[i].is_none()).collect();
@@ -613,23 +605,21 @@ where
     }
 }
 
-// The checkpoint-directory layout: per cell key, `<key>.json` holds
+// The checkpoint-directory layout: per cell key, `<key>.pcell` holds
 // the final result, `<key>.failed.json` the failure marker and
 // `<key>.part.psnap` the mid-cell partial.
-const FINAL: &str = ".json";
+const FINAL: &str = ".pcell";
 const FAILED: &str = ".failed.json";
 const PARTIAL: &str = ".part.psnap";
 
+/// A final is the cell's compact JSON in a frame of its own kind, not
+/// a snapshot's, so a `.psnap` version bump never discards finished
+/// cells.
+const FINAL_MAGIC: [u8; 8] = *b"PCELL001";
+const FINAL_VERSION: u32 = 1;
+
 fn cell_file(dir: &Path, key: &str, suffix: &str) -> PathBuf {
     dir.join(format!("{}{suffix}", sanitize(key)))
-}
-
-fn checkpoint_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
-    Some(cell_file(cfg.checkpoint_dir.as_deref()?, key, FINAL))
-}
-
-fn failed_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
-    Some(cell_file(cfg.checkpoint_dir.as_deref()?, key, FAILED))
 }
 
 fn partial_file(cfg: &RunnerConfig, key: &str) -> Option<PathBuf> {
@@ -644,13 +634,21 @@ pub fn partial_path(dir: &Path, key: &str) -> PathBuf {
 }
 
 /// Loads the final result a checkpoint directory holds for `key`
-/// (`<dir>/<key>.json`). `None` when there is none; a corrupt file is
+/// (`<dir>/<key>.pcell`), in one file read whose verified payload
+/// parses straight into `T`. `None` when there is none; a corrupt file
+/// (bad frame, digest mismatch, or a payload that is not a `T`) is
 /// discarded (warned, counted as degraded, deleted) so the cell
 /// recomputes.
 fn load_final_checkpoint<T: DeserializeOwned>(dir: &Path, key: &str) -> Option<T> {
     let path = cell_file(dir, key, FINAL);
-    let text = std::fs::read_to_string(&path).ok()?;
-    match serde_json::from_str(&text) {
+    let parsed = match frame::read(&path, FINAL_MAGIC, FINAL_VERSION) {
+        Err(FrameError::Io(_)) => return None,
+        read => read.map_err(|e| e.to_string()).and_then(|payload| {
+            let text = std::str::from_utf8(&payload).map_err(|e| e.to_string())?;
+            serde_json::from_str(text).map_err(|e| e.to_string())
+        }),
+    };
+    match parsed {
         Ok(v) => Some(v),
         Err(e) => {
             // Corrupt checkpoint: drop it and recompute the cell.
@@ -669,7 +667,7 @@ fn load_final_checkpoint<T: DeserializeOwned>(dir: &Path, key: &str) -> Option<T
 /// is nowhere else: the one recovery rule of the distributed merge and
 /// the server's degraded assembly.
 ///
-/// * `Some(Ok)` — the final result (`<dir>/<key>.json`). A corrupt one
+/// * `Some(Ok)` — the final result (`<dir>/<key>.pcell`). A corrupt one
 ///   is discarded (warned, counted as degraded, deleted) and the
 ///   lookup falls through to the marker.
 /// * `Some(Err(kind))` — the error class ([`RunError::kind`]) of the
@@ -697,23 +695,60 @@ fn write_final_checkpoint<T: Serialize>(
     key: &str,
     value: &T,
 ) -> Result<(), RunError> {
-    let Some(path) = checkpoint_file(cfg, key) else {
+    let Some(dir) = cfg.checkpoint_dir.as_deref() else {
         return Ok(());
     };
-    let text = serde_json::to_string_pretty(value).map_err(|e| RunError::Io {
+    let text = serde_json::to_string(value).map_err(|e| RunError::Io {
         message: format!("cannot serialize checkpoint: {e}"),
     })?;
     // In a distributed sweep two worker processes may finish the same
     // cell; the loser replaces the winner's byte-identical file whole.
-    perconf_bpred::atomic_write(&path, &[text.as_bytes()], true)?;
+    frame::write(
+        &cell_file(dir, key, FINAL),
+        FINAL_MAGIC,
+        FINAL_VERSION,
+        text.as_bytes(),
+    )?;
     Ok(())
+}
+
+/// Binds checkpoint directory `dir` to one run of `experiment`, so a
+/// rerun never serves another run's cells: a cell key names the cell's
+/// place in its grid, not the scale or the rate value it ran at. The first
+/// call records `run`, a description of everything that decides the
+/// cells' bytes (for a sweep, [`faults::run_name`](crate::faults::run_name)),
+/// in `<dir>/<experiment>.run`; a later call with another description is
+/// refused. Knobs that leave the bytes alone (benchmark subsets, jobs,
+/// batch widths, leases) stay out of `run`, so they may change between
+/// runs, and experiments whose keys cannot collide may share `dir`.
+///
+/// # Errors
+///
+/// A message naming both runs when `dir` records another run of
+/// `experiment`, or the I/O failure that kept the record from being
+/// read or written.
+pub fn bind_dir(dir: &Path, experiment: &str, run: &str) -> Result<(), String> {
+    let path = dir.join(format!("{experiment}.run"));
+    match std::fs::read_to_string(&path) {
+        Ok(held) if held.trim_end() == run => Ok(()),
+        Ok(held) => Err(format!(
+            "{} holds the cells of {}, not of {run}: rerun that, or give this run its own directory",
+            dir.display(),
+            held.trim_end()
+        )),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            perconf_bpred::atomic_write(&path, &[run.as_bytes(), b"\n"], true)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))
+        }
+        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
+    }
 }
 
 /// What [`gc_dir`] removed from a checkpoint directory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcReport {
     /// `<key>.part.psnap` partials whose cell already has its final
-    /// `<key>.json` result — dead weight a crash window left behind.
+    /// `<key>.pcell` result — dead weight a crash window left behind.
     pub partials_removed: usize,
     /// Leftover atomic-write temp files (`*.tmp*`) from interrupted
     /// writers.
@@ -761,9 +796,10 @@ pub fn gc_dir(dir: &Path) -> GcReport {
 }
 
 fn write_failure_marker(cfg: &RunnerConfig, key: &str, err: &RunError) {
-    let Some(path) = failed_file(cfg, key) else {
+    let Some(dir) = cfg.checkpoint_dir.as_deref() else {
         return;
     };
+    let path = cell_file(dir, key, FAILED);
     if let Ok(text) = serde_json::to_string_pretty(err) {
         if let Err(e) = perconf_bpred::atomic_write(&path, &[text.as_bytes()], true) {
             eprintln!("warning: cannot write failure marker for {key}: {e}");
@@ -1274,7 +1310,7 @@ mod tests {
         );
         // Success cleared the partial checkpoint alongside the final one.
         assert!(!partial_path(&dir, "counter").exists());
-        assert!(dir.join("counter.json").is_file());
+        assert!(cell_file(&dir, "counter", FINAL).is_file());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1296,33 +1332,6 @@ mod tests {
         })]);
         assert_eq!(*report.cells[0].outcome.as_ref().unwrap(), 42);
         assert!(!partial_path(&dir, "cell").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fresh_run_ignores_stale_partial_state() {
-        let dir = fresh_dir("stale-partial");
-        std::fs::create_dir_all(&dir).unwrap();
-        // resume = false: a leftover partial from some earlier sweep
-        // must be cleared, not consumed.
-        let mut s = one_job(RunnerConfig {
-            checkpoint_dir: Some(dir.clone()),
-            resume: false,
-            retries: 0,
-            timeout: None,
-            ..RunnerConfig::default()
-        });
-        snapfile::write(&partial_path(&dir, "cell"), &Value::UInt(999)).unwrap();
-        let report = s.run_cells(vec![CellSpec::new("cell", |cell| match cell.load() {
-            Some(Value::UInt(n)) => n,
-            Some(Value::Int(n)) if n >= 0 => n as u64,
-            _ => 0u64,
-        })]);
-        assert_eq!(
-            *report.cells[0].outcome.as_ref().unwrap(),
-            0,
-            "stale partial state must not leak in"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1577,6 +1586,19 @@ mod tests {
         std::fs::write(&solo, b"{truncated").unwrap();
         assert_eq!(recover::<u32>(&dir, "solo"), None);
         assert!(!solo.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bind_dir_records_the_first_run_and_refuses_another() {
+        let dir = fresh_dir("bind");
+        let tiny = "faults (tiny scale, seed 5, small grid)";
+        bind_dir(&dir, "faults", tiny).unwrap();
+        bind_dir(&dir, "faults", tiny).unwrap();
+        // Another experiment's record sits beside it.
+        bind_dir(&dir, "table2", "table2 (quick scale)").unwrap();
+        let err = bind_dir(&dir, "faults", "faults (tiny scale, seed 5, full grid)").unwrap_err();
+        assert!(err.contains(tiny) && err.contains("full grid"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

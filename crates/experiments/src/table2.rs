@@ -112,10 +112,10 @@ pub struct ShapeCell {
     pub mpku: f64,
 }
 
-/// Canonical checkpoint/queue key for one Table 2 cell. Scale is not
-/// part of the key for the same reason the faults sweep omits it: a
-/// resume directory is per-invocation, and mixing scales in one
-/// directory is guarded at the CLI layer.
+/// Canonical checkpoint key for one Table 2 cell. Like the faults
+/// sweep's keys it omits the scale, so a resume directory records the
+/// scale it was filled at (`runner::bind_dir`, called by `repro`) and
+/// refuses a run at another.
 #[must_use]
 pub fn cell_key(bench: &str, shape: usize) -> String {
     format!("table2-{bench}-s{shape}")

@@ -1,11 +1,12 @@
 //! End-to-end determinism contract for `repro sweep`: the sweep's
-//! byte-compared outputs (`faults.json`, `results/*.psnap`) must be
-//! identical for 1 worker process, N worker processes, and N worker
-//! processes that are chaos-killed mid-cell and respawned — and the
-//! `repro` / `validate` binaries must honour the documented exit-code
-//! taxonomy. A `repro --trace-out` run records events and writes the
-//! same results as a plain one, and records a checkpoint write only
-//! where a checkpoint is persisted.
+//! byte-compared outputs (`faults.json` and the queue's `cells/` tree
+//! of finals) must be identical for 1 worker process, N worker
+//! processes, and N worker processes that are chaos-killed mid-cell
+//! and respawned — and the `repro` / `validate` binaries must honour
+//! the documented exit-code taxonomy. A `repro --trace-out` run records
+//! events and writes the same results as a plain one, and records a
+//! checkpoint write only where a checkpoint is persisted. A resume
+//! directory or queue serves only the run that filled it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -33,8 +34,8 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Byte-compares two directories of published results (same file
-/// names, same bytes).
+/// Byte-compares two directories of results (same file names, same
+/// bytes).
 fn assert_identical_trees(a: &Path, b: &Path) {
     let names = |d: &Path| -> Vec<String> {
         let mut v: Vec<String> = std::fs::read_dir(d)
@@ -120,8 +121,8 @@ fn sweep_output_is_byte_identical_across_workers_and_chaos_kills() {
         "faults.json differs: clean vs chaos-killed"
     );
 
-    assert_identical_trees(&q1.join("results"), &q4.join("results"));
-    assert_identical_trees(&q1.join("results"), &qc.join("results"));
+    assert_identical_trees(&q1.join("cells"), &q4.join("cells"));
+    assert_identical_trees(&q1.join("cells"), &qc.join("cells"));
 
     // The chaos run's report must prove the failure path actually ran:
     // workers died to chaos and orphaned partials were resumed.
@@ -145,8 +146,9 @@ fn sweep_output_is_byte_identical_across_workers_and_chaos_kills() {
 #[test]
 fn resuming_a_half_finished_queue_completes_without_recompute() {
     // Run a sweep to completion, then re-run the coordinator against
-    // the same queue: everything is already published, so the second
-    // run must merge straight from the results tree and still succeed.
+    // the same queue: every cell's final is already stored, so the
+    // second run must merge straight from the `cells/` tree and still
+    // succeed.
     let (queue, json) = sweep("rerun", &["--workers", "1"]);
     let before = std::fs::read(json.join("faults.json")).unwrap();
 
@@ -221,6 +223,95 @@ fn trace_out_records_events_without_changing_results() {
     for d in [&traced, &plain, &resumed, &ckpt] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+// ----- one run per resume directory and queue ----------------------
+
+/// Runs `repro` and asserts its exit code; returns its stderr.
+fn exits(code: i32, args: &[&str]) -> String {
+    let out = repro(args);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(code), "repro {args:?}:\n{err}");
+    err
+}
+
+/// [`exits`] with `--resume <dir>` appended.
+fn resumes(code: i32, dir: &Path, args: &[&str]) -> String {
+    exits(code, &[args, &["--resume", dir.to_str().unwrap()]].concat())
+}
+
+#[test]
+fn a_table2_resume_dir_refuses_another_scale() {
+    let dir = fresh_dir("bind-table2");
+    resumes(
+        0,
+        &dir,
+        &["table2", "--tiny", "--bench", "gcc", "--jobs", "1"],
+    );
+    // Another benchmark subset and job count are the same run.
+    resumes(
+        0,
+        &dir,
+        &["table2", "--tiny", "--bench", "mcf", "--jobs", "2"],
+    );
+    // The default (quick) scale is another run: refused, naming both.
+    let err = resumes(2, &dir, &["table2", "--bench", "gcc"]);
+    assert!(
+        err.contains("tiny scale") && err.contains("quick scale"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_faults_resume_dir_refuses_another_seed_or_grid() {
+    let dir = fresh_dir("bind-faults");
+    let faults = |grid, seed| ["faults", "--tiny", "--grid", grid, "--seed", seed];
+    resumes(
+        0,
+        &dir,
+        &[&faults("small", "5")[..], &["--jobs", "1"]].concat(),
+    );
+    // Another batch width is the same run, served whole.
+    let err = resumes(
+        0,
+        &dir,
+        &[&faults("small", "5")[..], &["--batch", "2"]].concat(),
+    );
+    assert!(err.contains("0 executed, 4 resumed"), "{err}");
+    let err = resumes(2, &dir, &faults("small", "6"));
+    assert!(err.contains("seed 5") && err.contains("seed 6"), "{err}");
+    let err = resumes(2, &dir, &faults("full", "5"));
+    assert!(
+        err.contains("small grid") && err.contains("full grid"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_sweep_queue_refuses_another_scale_but_takes_another_lease() {
+    let (queue, json) = sweep("bind", &["--workers", "1"]);
+    let q = queue.to_str().unwrap();
+    let base = [
+        "sweep",
+        "--grid",
+        "small",
+        "--seed",
+        "11",
+        "--queue",
+        q,
+        "--workers",
+        "1",
+    ];
+    let err = exits(2, &base);
+    assert!(
+        err.contains("tiny scale") && err.contains("quick scale"),
+        "{err}"
+    );
+    exits(0, &[&base[..], &["--tiny", "--lease-secs", "5"]].concat());
+    let _ = std::fs::remove_dir_all(&queue);
+    let _ = std::fs::remove_dir_all(&json);
 }
 
 // ----- exit-code taxonomy ------------------------------------------

@@ -86,7 +86,6 @@ fn every_cell_reports_exactly_once_with_terminal_status() {
         let mut scheduler = Scheduler::new(SchedulerConfig {
             runner: RunnerConfig {
                 checkpoint_dir: None,
-                resume: false,
                 // Short watchdog so injected hangs resolve quickly;
                 // one retry so FlakyThenOk cells can recover.
                 timeout: Some(Duration::from_millis(200)),
@@ -203,7 +202,6 @@ fn sweep_scheduler(jobs: usize, dir: Option<&std::path::Path>) -> Scheduler {
         },
         None => RunnerConfig {
             checkpoint_dir: None,
-            resume: false,
             timeout: None,
             retries: 0,
             ..RunnerConfig::default()
@@ -303,7 +301,6 @@ fn sleeping_zombies_are_reaped_once_they_finish() {
     let mut scheduler = Scheduler::new(SchedulerConfig {
         runner: RunnerConfig {
             checkpoint_dir: None,
-            resume: false,
             timeout: Some(Duration::from_millis(50)),
             retries: 0,
             backoff: Duration::from_millis(1),

@@ -9,8 +9,9 @@ use serde::{Deserialize, Serialize};
 
 /// What a client asks the server to run: the full identity of a fault
 /// sweep. Two specs with equal [`digest`](Self::digest) are guaranteed
-/// to simulate identically, which is what lets the server's
-/// content-addressed cache serve repeats without re-simulation.
+/// to simulate identically, which is what lets the server keep one
+/// checkpoint directory per digest and serve repeats from it without
+/// re-simulation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExperimentSpec {
     /// Campaign seed (`repro --seed`).
@@ -36,9 +37,8 @@ impl ExperimentSpec {
         Ok((scale, grid))
     }
 
-    /// Content digest of the spec itself (the "config digest" half of
-    /// the cache key; the per-cell half is
-    /// `faults::cell_content_digest`).
+    /// Content digest of the spec itself, which names the spec's
+    /// checkpoint directory on the server.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let canon = format!(
@@ -60,9 +60,10 @@ impl ExperimentSpec {
 /// [`ExperimentSpec`] — the submit-spec half of the line protocol.
 /// The server runs fault sweeps, so the document must have
 /// `experiment.kind = "faults"`, and (v1 restriction) its grid must
-/// equal one of the named presets the content-addressed cache is
-/// keyed on: the cache digests `spec-v1|seed|scale|grid-name`, so an
-/// arbitrary-axis grid has no cache identity yet.
+/// equal one of the named presets the server's checkpoint directories
+/// are keyed on: [`ExperimentSpec::digest`] hashes
+/// `spec-v1|seed|scale|grid-name`, so an arbitrary-axis grid has no
+/// identity there yet.
 ///
 /// # Errors
 ///
@@ -87,19 +88,16 @@ pub fn spec_document_to_experiment(text: &str, format: &str) -> Result<Experimen
             parsed.experiment.kind
         ));
     };
-    let preset = ["full", "small"]
-        .iter()
-        .find(|name| faults::Grid::by_name(name).as_ref() == Some(&grid))
-        .ok_or_else(|| {
-            "spec v1 submissions must use a preset grid (`grid = \"full\"` or `\"small\"`): \
-             the server's result cache is keyed on preset names, so explicit axes have no \
-             cache identity yet"
-                .to_owned()
-        })?;
+    let preset = grid.preset_name().ok_or_else(|| {
+        "spec v1 submissions must use a preset grid (`grid = \"full\"` or `\"small\"`): \
+         the server's checkpoint directories are keyed on preset names, so explicit axes \
+         have no identity there yet"
+            .to_owned()
+    })?;
     Ok(ExperimentSpec {
         seed,
         scale: parsed.experiment.scale,
-        grid: (*preset).to_owned(),
+        grid: preset.to_owned(),
     })
 }
 
@@ -173,7 +171,7 @@ pub enum Response {
         phase: String,
         /// Actor restarts consumed so far.
         restarts: u32,
-        /// Cells served from the content-addressed cache.
+        /// Cells served from their final checkpoints.
         from_cache: u64,
         /// Cells actually simulated.
         computed: u64,
@@ -194,14 +192,14 @@ pub enum Response {
         phase: String,
         /// The `FaultTable` as a JSON value, `null` until finished.
         table: serde::Value,
-        /// Cells served from the cache.
+        /// Cells served from their final checkpoints.
         from_cache: u64,
         /// Cells actually simulated.
         computed: u64,
     },
     /// The server's merged counter snapshot.
     Stats {
-        /// Server + cache counters.
+        /// The server's counters.
         counters: perconf_obs::CounterSnapshot,
     },
     /// Liveness reply.

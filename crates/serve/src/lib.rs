@@ -22,13 +22,14 @@
 //!   which the experiment is marked *degraded* with whatever cells
 //!   completed — never silently dropped.
 //!
-//! Results are memoised in a content-addressed [`cache`]: every cell
-//! is keyed by `faults::cell_content_digest` (config digest, seed,
-//! grid cell), stored as a checksummed `.psnap` entry, and served to
-//! repeat submissions without re-simulation. A checksum failure is a
-//! *miss* — corruption degrades to recompute, never to a wrong or
-//! missing result. The cache is LRU-bounded in memory and on disk,
-//! with disk rehydration for entries evicted from memory.
+//! Each spec has one checkpoint directory, keyed by its digest
+//! ([`api::ExperimentSpec::digest_hex`]), and runs through
+//! `faults::run_grid`, the function `repro faults` calls. A finished
+//! cell is stored once, as the runner's checksummed final, and served
+//! from it to repeat submissions and restarted actors without
+//! re-simulation. A checksum failure discards the final and
+//! recomputes the cell — corruption degrades to recompute, never to a
+//! wrong or missing result.
 //!
 //! Under load the server sheds: the submission queue is bounded and
 //! overflow gets an explicit 429-style `Busy` rejection. On SIGTERM
@@ -49,7 +50,6 @@
 
 pub mod actor;
 pub mod api;
-pub mod cache;
 pub mod protocol;
 pub mod server;
 pub mod supervisor;

@@ -4,7 +4,7 @@
 //! Supervision tree:
 //!
 //! ```text
-//! Supervisor (owns cache, counters, queue)
+//! Supervisor (owns counters, queue)
 //! └── actor-runner thread × N      (pool, picks queued experiments)
 //!     └── runner::run_attempt      (own thread, catch_unwind + watchdog, per try)
 //!         └── runner::Scheduler    (per-cell isolation, checkpoints)
@@ -17,20 +17,22 @@
 //! restarts. An abandoned incarnation is parked on the supervisor's
 //! zombie list and joined once it finishes. After the budget is
 //! spent the experiment is finalised *degraded*: a table assembled
-//! from cache entries and final checkpoints, with unrecoverable cells
-//! in its `failed` list — never silently dropped. A failed cell's kind
+//! from the spec's final checkpoints, with unrecoverable cells in its
+//! `failed` list — never silently dropped. A failed cell's kind
 //! is its failure marker's (`panic`, `timeout`, ...), read through
 //! `runner::recover` as the distributed merge reads it, and
 //! `abandoned` only when nothing is on disk for it.
 //!
-//! Accepted experiments persist as `pending/<id>.json` markers until
-//! they finalise, so a killed server's successor
-//! ([`Supervisor::start`]) re-enqueues them and resumes from the
-//! partials the dead actors left behind.
+//! Each spec has one checkpoint directory, `specs/<digest>/`
+//! ([`ExperimentSpec::digest_hex`]), shared by every submission of
+//! it: the store of its finished cells, so a repeat submission
+//! re-simulates nothing. Accepted experiments persist as
+//! `pending/<id>.json` markers until they finalise, so a killed
+//! server's successor ([`Supervisor::start`]) re-enqueues them and
+//! resumes from the finals and partials the dead actors left behind.
 
 use crate::actor::{self, ActorConfig, ActorOutcome};
 use crate::api::ExperimentSpec;
-use crate::cache::{CacheConfig, CellCache};
 use perconf_experiments::runner::{self, RunError};
 use perconf_obs::{CounterSnapshot, Counters};
 use std::collections::{BTreeMap, VecDeque};
@@ -43,8 +45,8 @@ use std::time::Duration;
 /// Supervision policy and sizing.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Root of all server state (`pending/`, `results/`, `cache/`,
-    /// `experiments/<id>/`).
+    /// Root of all server state (`pending/`, `results/`,
+    /// `specs/<digest>/`).
     pub state_dir: PathBuf,
     /// Bound on accepted-but-unfinished experiments (queued +
     /// running). Submissions beyond it are shed with `Busy`.
@@ -127,7 +129,7 @@ pub struct ExperimentEntry {
     pub phase: Phase,
     /// Actor restarts consumed.
     pub restarts: u32,
-    /// Cells served from the cache.
+    /// Cells served from their final checkpoints.
     pub from_cache: u64,
     /// Cells simulated.
     pub computed: u64,
@@ -168,7 +170,6 @@ struct State {
 
 struct Shared {
     cfg: SupervisorConfig,
-    cache: Mutex<CellCache>,
     counters: Mutex<Counters>,
     state: Mutex<State>,
     work: Condvar,
@@ -197,12 +198,10 @@ impl Supervisor {
     ///
     /// Panics if the runner pool threads cannot be spawned.
     pub fn start(cfg: SupervisorConfig) -> std::io::Result<Self> {
-        for sub in ["pending", "results", "experiments"] {
+        for sub in ["pending", "results", "specs"] {
             std::fs::create_dir_all(cfg.state_dir.join(sub))?;
         }
-        let cache = CellCache::open(CacheConfig::at(cfg.state_dir.join("cache")))?;
         let shared = Arc::new(Shared {
-            cache: Mutex::new(cache),
             counters: Mutex::new(Counters::new()),
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -443,40 +442,24 @@ impl Supervisor {
             .join(format!("{id}.json"))
     }
 
-    /// Merged server + cache counters, plus load gauges.
+    /// The server's counters (`serve` and `cache` groups), plus load
+    /// gauges.
     ///
     /// # Panics
     ///
     /// Propagates poisoned internal mutexes.
     #[must_use]
     pub fn stats(&self) -> CounterSnapshot {
-        let serve = {
-            let mut counters = self
-                .shared
-                .counters
-                .lock()
-                .expect("counters mutex poisoned");
-            let st = self.shared.state.lock().expect("state mutex poisoned");
-            counters
-                .gauge("serve", "queue_depth", st.queue.len() as u64)
-                .gauge("serve", "running", st.running as u64);
-            counters.snapshot()
-        };
-        // The cache publishes *absolute* totals, so it must land in a
-        // fresh registry each call — publishing into the long-lived
-        // serve counters would re-add the totals on every stats
-        // request. Merging the two snapshots is safe: the groups are
-        // disjoint.
-        let cache = {
-            let mut fresh = Counters::new();
-            self.shared
-                .cache
-                .lock()
-                .expect("cache mutex poisoned")
-                .publish_counters(&mut fresh);
-            fresh.snapshot()
-        };
-        CounterSnapshot::merge([&serve, &cache])
+        let mut counters = self
+            .shared
+            .counters
+            .lock()
+            .expect("counters mutex poisoned");
+        let st = self.shared.state.lock().expect("state mutex poisoned");
+        counters
+            .gauge("serve", "queue_depth", st.queue.len() as u64)
+            .gauge("serve", "running", st.running as u64);
+        counters.snapshot()
     }
 
     /// Stops accepting, lets the runner pool drain every accepted
@@ -541,7 +524,7 @@ fn run_supervised(sh: &Arc<Shared>, id: &str) {
     };
     let actor_cfg = ActorConfig {
         spec: entry.spec.clone(),
-        checkpoint_dir: sh.cfg.state_dir.join("experiments").join(id).join("cells"),
+        checkpoint_dir: sh.cfg.state_dir.join("specs").join(entry.spec.digest_hex()),
         jobs: sh.cfg.jobs,
         cell_timeout: sh.cfg.cell_timeout,
         kill_after: None,
@@ -563,9 +546,8 @@ fn run_supervised(sh: &Arc<Shared>, id: &str) {
                 e.restarts = incarnation;
             }
         }
-        let sh2 = Arc::clone(sh);
         let attempt = runner::run_attempt(Some(sh.cfg.watchdog), &sh.zombies, move || {
-            actor::run_experiment(&cfg, &sh2.cache)
+            actor::run_experiment(&cfg)
         });
         match attempt {
             Ok(Ok(outcome)) => {
@@ -592,9 +574,9 @@ fn run_supervised(sh: &Arc<Shared>, id: &str) {
         }
     }
     // Restart budget exhausted: degrade, never drop. Whatever the
-    // dead incarnations checkpointed or cached is assembled into a
-    // partial table; the rest is listed as failed.
-    let partial = actor::assemble_partial(&actor_cfg, &sh.cache);
+    // dead incarnations checkpointed is assembled into a partial
+    // table; the rest is listed as failed.
+    let partial = actor::assemble_partial(&actor_cfg);
     match partial {
         Ok(outcome) => finalize(sh, id, &outcome, false),
         Err(reason) => {
@@ -606,8 +588,8 @@ fn run_supervised(sh: &Arc<Shared>, id: &str) {
 
 fn finalize(sh: &Arc<Shared>, id: &str, outcome: &ActorOutcome, clean: bool) {
     // Result file first, then the pending marker: a crash between the
-    // two re-runs the experiment (cheap, all cache hits) instead of
-    // losing it.
+    // two re-runs the experiment (cheap: every cell is served from its
+    // final) instead of losing it.
     let path = sh.cfg.state_dir.join("results").join(format!("{id}.json"));
     match serde_json::to_string_pretty(&outcome.table) {
         Ok(body) => {
@@ -621,9 +603,9 @@ fn finalize(sh: &Arc<Shared>, id: &str, outcome: &ActorOutcome, clean: bool) {
     {
         let mut counters = sh.counters.lock().expect("counters mutex poisoned");
         counters
-            .counter("serve", "cells_from_cache", outcome.from_cache)
+            .counter("cache", "hits", outcome.from_cache)
+            .counter("cache", "misses", outcome.computed)
             .counter("serve", "cells_computed", outcome.computed)
-            .counter("serve", "cells_resumed", outcome.resumed)
             .counter("serve", "cells_resumed_mid_cell", outcome.resumed_mid_cell);
         if clean {
             counters.counter("serve", "completed", 1);

@@ -4,7 +4,8 @@
 //! - a served sweep is byte-identical to a one-shot `repro faults`
 //!   run (same pretty-JSON table);
 //! - a repeat submission performs zero re-simulation — every cell is
-//!   served from the content-addressed cache, visible in counters;
+//!   served from the final the first run stored, visible in counters,
+//!   and the state directory holds each cell once;
 //! - a chaos-killed actor is restarted and the client-visible result
 //!   stays byte-identical to an undisturbed run;
 //! - overflow submissions are shed with an explicit `Busy`, while an
@@ -24,7 +25,7 @@ use perconf_serve::server::{Server, ServerConfig};
 use perconf_serve::supervisor::{Phase, Submitted, Supervisor, SupervisorConfig};
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -197,6 +198,72 @@ fn served_sweep_matches_one_shot_bytes_and_repeats_hit_the_cache() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// Sorted entry names of a directory.
+fn names(dir: &Path) -> Vec<String> {
+    let mut v: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+/// Submits `spec` and waits for it to finish `done`.
+fn run_to_done(sup: &Supervisor, spec: &ExperimentSpec) {
+    let id = match sup.submit(spec, false) {
+        Submitted::Accepted { id, .. } => id,
+        other => panic!("submit rejected: {other:?}"),
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        assert!(Instant::now() < deadline, "{id} never finished");
+        match sup.status(&id).map(|e| e.phase) {
+            Some(phase) if phase.is_terminal() => {
+                assert_eq!(phase, Phase::Done, "{id}");
+                return;
+            }
+            _ => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
+
+#[test]
+fn a_miss_and_a_repeat_store_each_cell_once() {
+    let state = tmpdir("store-once");
+    let sup = Supervisor::start(SupervisorConfig::at(&state)).expect("start supervisor");
+    let sp = spec(13);
+    run_to_done(&sup, &sp);
+    run_to_done(&sup, &sp);
+    let stats = sup.stats();
+    assert_eq!(stats.get("serve", "cells_computed"), Some(4));
+    assert_eq!(stats.get("cache", "hits"), Some(4));
+    sup.shutdown_and_drain();
+
+    // One spec directory, one file per cell in it, and no other copy:
+    // no `cache/`, no per-experiment `experiments/<id>/`.
+    assert_eq!(names(&state), ["pending", "results", "specs"]);
+    assert_eq!(names(&state.join("specs")), [sp.digest_hex()]);
+    let mut keys: Vec<String> = faults::Grid::small()
+        .cells(sp.seed)
+        .into_iter()
+        .map(|c| c.key)
+        .collect();
+    keys.sort_unstable();
+    let stored = names(&state.join("specs").join(sp.digest_hex()));
+    assert_eq!(stored.len(), keys.len(), "{stored:?}");
+    for (file, key) in stored.iter().zip(&keys) {
+        assert!(file.starts_with(&format!("{key}.")), "{file} stores {key}");
+    }
+    assert!(names(&state.join("pending")).is_empty());
+    assert_eq!(
+        names(&state.join("results")).len(),
+        2,
+        "one table per submission"
+    );
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 #[test]
 fn chaos_killed_actor_restarts_and_stays_byte_identical() {
     let (addr, handle, state) = start_server("chaos");
@@ -210,7 +277,7 @@ fn chaos_killed_actor_restarts_and_stays_byte_identical() {
         c.counter("serve", "restarts") >= 1,
         "restart must be visible in server counters"
     );
-    // The restarted incarnation reuses the dead one's published cells.
+    // The restarted incarnation reuses the dead one's stored cells.
     assert!(
         from_cache >= 1,
         "resumed run should reuse the killed actor's cells"

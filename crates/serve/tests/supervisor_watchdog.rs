@@ -6,7 +6,8 @@
 // Test deadlines: wall-clock never reaches asserted results.
 #![allow(clippy::disallowed_methods)]
 
-use perconf_experiments::faults::{self, FaultTable};
+use perconf_experiments::faults::{self, FaultCell, FaultTable};
+use perconf_experiments::runner;
 use perconf_serve::api::ExperimentSpec;
 use perconf_serve::supervisor::{Phase, Submitted, Supervisor, SupervisorConfig};
 use std::time::{Duration, Instant};
@@ -72,9 +73,13 @@ fn an_experiment_past_its_watchdog_finalises_degraded() {
     expected.sort();
     assert_eq!(listed, expected);
 
-    // The abandoned incarnation runs on and caches all four cells;
-    // let it finish writing before the state directory goes.
-    while sup.stats().get("cache", "entries") != Some(4) {
+    // The abandoned incarnation runs on and stores all four cells'
+    // finals; let it finish writing before the state directory goes.
+    let spec_dir = state.join("specs").join(spec.digest_hex());
+    while !expected
+        .iter()
+        .all(|key| matches!(runner::recover::<FaultCell>(&spec_dir, key), Some(Ok(_))))
+    {
         assert!(
             Instant::now() < deadline,
             "abandoned incarnation never finished"

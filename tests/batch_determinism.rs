@@ -225,7 +225,6 @@ fn scheduler(jobs: usize, dir: Option<&Path>) -> Scheduler {
         },
         None => RunnerConfig {
             checkpoint_dir: None,
-            resume: false,
             timeout: None,
             retries: 0,
             ..RunnerConfig::default()
