@@ -8,13 +8,13 @@
 //! cycle-by-cycle evolution, final statistics, and snapshot bytes are
 //! identical to running it alone.
 //!
-//! No library code calls it. The fault sweep's batch groups used to
-//! step their pipeline legs through it, and measured end to end that
-//! was slower and held every member's machine at once: a group now
-//! runs its legs one at a time through the experiments crate's one
-//! checkpointed loop. `BatchSim` stays only because the benchmark's
-//! `pipeline.batch4_ratio` probe compiles against `new`, `try_run`
-//! and `width`; it goes once that probe does.
+//! No library code, and no test outside this module, calls it. The
+//! fault sweep's batch groups used to step their pipeline legs through
+//! it, and measured end to end that was slower and held every member's
+//! machine at once: a group now runs its legs one at a time through
+//! the experiments crate's one checkpointed loop. `BatchSim` stays only
+//! because the benchmark's `pipeline.batch4_ratio` probe compiles
+//! against `new`, `try_run` and `width`; it goes once that probe does.
 //!
 //! # Determinism contract
 //!
@@ -22,9 +22,9 @@
 //! member `i`'s results are byte-identical to a sequential run of the
 //! same simulation: same [`SimStats`](crate::SimStats), same state
 //! digest, same serialized snapshot. This module's tests pin that
-//! against sequential runs, and `tests/batch_determinism.rs` resumes
-//! the partials an interleaved batch leaves, as older builds' resume
-//! directories hold them.
+//! against sequential runs, which is why `tests/batch_determinism.rs`
+//! can build the partials older builds' interleaved loop left in
+//! resume directories from plain [`Simulation::try_run`] legs.
 
 use crate::sim::{SimError, Simulation};
 

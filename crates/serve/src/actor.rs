@@ -9,9 +9,24 @@
 //! same spec, serve every finished cell from its checksummed final and
 //! pay only for what no earlier run finished.
 //!
-//! It runs the fault sweep the way `repro faults` does: `faults::run_grid`,
-//! one scheduler cell per `faults::Grid::cells` coordinate. The
-//! degraded assembly reads the checkpoint directory through
+//! It runs the fault sweep through `faults::run_grid_batched`, the
+//! function `repro faults` calls, with one batch group per grid row.
+//! `faults::Grid::cells` lists cells estimator, then benchmark, then
+//! rate, so a width of `grid.rates.len()` makes each group one
+//! (estimator, benchmark) row: the cells that differ only in fault
+//! rate. A row shares one trace-level pass over its benchmark's branch
+//! stream, then runs its pipeline legs one at a time, and the table is
+//! byte-identical to one cell per group. Rows rather than one
+//! whole-grid group, because a group is one attempt: a crash reworks
+//! one row, and finals are written row by row. Two consequences for
+//! the server's flags:
+//!
+//! - `jobs` parallelism inside one experiment is at most its row
+//!   count: 2 for `small`, 6 for `full`;
+//! - `cell_timeout` stays per cell, so a row group's watchdog is that
+//!   value times its pending cells.
+//!
+//! The degraded assembly reads the checkpoint directory through
 //! `runner::recover`, the rule the distributed merge uses too.
 
 use crate::api::ExperimentSpec;
@@ -29,9 +44,10 @@ pub struct ActorConfig {
     /// markers, mid-cell `.part.psnap` partials), shared by every
     /// submission of the spec.
     pub checkpoint_dir: PathBuf,
-    /// Scheduler worker threads for this experiment's cells.
+    /// Scheduler worker threads for this experiment's row groups.
     pub jobs: usize,
-    /// Per-cell watchdog; `None` keeps the runner default.
+    /// Per-cell watchdog; `None` keeps the runner default. A row
+    /// group's watchdog is this times its pending cells.
     pub cell_timeout: Option<Duration>,
     /// Chaos harness: run the first this many cells, then panic the
     /// actor if any of them was freshly computed and cells remain (the
@@ -93,7 +109,10 @@ pub fn run_experiment(cfg: &ActorConfig) -> Result<ActorOutcome, String> {
         }
     }
 
-    let (table, timings) = faults::run_grid(scale, seed, &grid, &mut scheduler);
+    // One batch group per (estimator, benchmark) row: its cells share
+    // one trace-level pass.
+    let (table, timings) =
+        faults::run_grid_batched(scale, seed, &grid, &mut scheduler, grid.rates.len());
     let failed_kinds = timings
         .iter()
         .filter_map(|t| t.error_kind.clone())

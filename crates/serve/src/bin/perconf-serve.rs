@@ -23,6 +23,15 @@
 //! same `faults.json` bytes a one-shot `repro faults` run would, and
 //! exits through the shared taxonomy in
 //! `perconf_experiments::exitcode`.
+//!
+//! The server runs an experiment as one batch group per grid row (the
+//! cells that differ only in fault rate, which share one trace-level
+//! pass). Two consequences for `run`'s flags:
+//!
+//! - `--jobs` parallelism inside one experiment is at most its row
+//!   count: 2 for `--grid small`, 6 for `--grid full`;
+//! - `--cell-timeout` stays per cell, so a row group's watchdog is
+//!   that value times its pending cells.
 
 #![forbid(unsafe_code)]
 // Supervision timing (watchdogs, drain deadlines) is wall-clock by nature
@@ -77,7 +86,11 @@ fn usage() {
          \x20                         --seed <n> [--tiny | --full] [--grid small|full])\n\
          \x20                        [--json <dir>] [--chaos kill] [--no-wait]\n\
          \x20      perconf-serve status --id <id> [--state <dir> | --addr <ip:port>]\n\
-         \x20      perconf-serve stats|ping|shutdown [--state <dir> | --addr <ip:port>]"
+         \x20      perconf-serve stats|ping|shutdown [--state <dir> | --addr <ip:port>]\n\n\
+         run: an experiment runs one batch group per grid row (its cells that differ only\n\
+         in fault rate), so --jobs parallelism inside it is at most its row count (2 for\n\
+         --grid small, 6 for --grid full), and --cell-timeout stays per cell: a row\n\
+         group's watchdog is that value times its pending cells."
     );
 }
 

@@ -24,7 +24,9 @@
 //!
 //! Each spec has one checkpoint directory, keyed by its digest
 //! ([`api::ExperimentSpec::digest_hex`]), and runs through
-//! `faults::run_grid`, the function `repro faults` calls. A finished
+//! `faults::run_grid_batched`, the function `repro faults` calls, with
+//! one batch group per grid row (the cells that differ only in fault
+//! rate), so a row's cells share one trace-level pass. A finished
 //! cell is stored once, as the runner's checksummed final, and served
 //! from it to repeat submissions and restarted actors without
 //! re-simulation. A checksum failure discards the final and

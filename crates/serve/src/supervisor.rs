@@ -56,11 +56,13 @@ pub struct SupervisorConfig {
     /// Restarts allowed per experiment before it finalises degraded.
     pub restart_budget: u32,
     /// Watchdog on one actor attempt (the *experiment* watchdog; each
-    /// cell additionally has the runner's own cell watchdog).
+    /// row group additionally has the runner's own watchdog).
     pub watchdog: Duration,
-    /// Scheduler worker threads inside each actor.
+    /// Scheduler worker threads inside each actor; an experiment runs
+    /// one batch group per grid row, so at most its row count is used.
     pub jobs: usize,
-    /// Per-cell watchdog override passed through to the runner.
+    /// Per-cell watchdog override passed through to the runner, which
+    /// scales it by a row group's pending cells.
     pub cell_timeout: Option<Duration>,
 }
 

@@ -7,7 +7,7 @@
 //! promises:
 //!
 //! 1. checkpoint level — partials that older builds' interleaved loop
-//!    (`BatchSim`) wrote mid-batch resume to the uninterrupted result;
+//!    wrote mid-batch resume to the uninterrupted result;
 //! 2. group level — a group that dies in one member's leg keeps the
 //!    partials of the legs it finished, and a resume continues them;
 //! 3. sweep level — `run_grid_batched` vs `run_grid` byte-identical
@@ -25,7 +25,7 @@ use perconf_experiments::runner::{
     partial_path, BatchSpec, CheckpointCell, RunnerConfig, Scheduler, SchedulerConfig,
 };
 use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
-use perconf_pipeline::{BatchSim, Controller, PipelineConfig, SimStats, Simulation};
+use perconf_pipeline::{Controller, PipelineConfig, SimStats, Simulation};
 use perconf_workload::WorkloadConfig;
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -109,26 +109,21 @@ fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
     };
 
     // A *batch* killed mid-warmup, as older builds' interleaved loop
-    // ran one: advance the batch two checkpoint legs, persist each
-    // member's {phase, sim} partial — the bytes that loop stored — then
-    // abandon it.
-    let mut batch = BatchSim::new(
-        (0..n)
-            .map(|i| Simulation::new(cfg, &wls[i], member_ctl(i)))
-            .collect(),
-    );
-    for leg in 0..2 {
-        for r in batch.try_run(INTERVAL) {
-            r.unwrap_or_else(|e| panic!("warmup leg {leg}: {e:?}"));
-        }
-    }
+    // ran one: advance every member two checkpoint legs, persist its
+    // {phase, sim} partial — the bytes that loop stored, since an
+    // interleaved member matches plain `try_run` legs call for call —
+    // then abandon it.
     let cells: Vec<CheckpointCell> = (0..n)
         .map(|i| CheckpointCell::at(dir.join(format!("batch-killed-{i}.part.psnap"))))
         .collect();
     for (i, cell) in cells.iter().enumerate() {
-        store(cell, 0, batch.get(i));
+        let mut sim = Simulation::new(cfg, &wls[i], member_ctl(i));
+        for leg in 0..2 {
+            sim.try_run(INTERVAL)
+                .unwrap_or_else(|e| panic!("member {i} warmup leg {leg}: {e:?}"));
+        }
+        store(cell, 0, &sim);
     }
-    drop(batch);
 
     // ... and resumed through the one checkpointed loop: every member
     // must land on the uninterrupted result.
