@@ -422,11 +422,9 @@ mod tests {
         let mut tage = Hybrid::new(Gshare::new(16, 8), Tage::default_config(), 16);
         let mut gshare = crate::baseline_bimodal_gshare();
         let mut hist = 0u64;
-        let (mut tm, mut gm, mut n) = (0u32, 0u32, 0u64);
-        while n < 400_000 {
-            let u = g.next_uop();
-            let Some(b) = u.branch else { continue };
-            n += 1;
+        let (mut tm, mut gm) = (0u32, 0u32);
+        for n in 1..=400_000u64 {
+            let b = g.next_branch();
             if n > 150_000 {
                 if tage.predict(b.pc, hist) != b.taken {
                     tm += 1;

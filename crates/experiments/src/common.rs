@@ -305,10 +305,12 @@ pub fn trace_eval_each(
     trace_loop(wl, pairs, warmup_branches, run_branches, |_, _| {})
 }
 
-/// The one trace loop: draws each branch once and, for each pair in
-/// order, predicts, estimates, records the matrix (and calls
-/// `on_measured` with the estimate and misprediction) after warm-up,
-/// then trains the predictor and the estimator.
+/// The one trace loop: draws each branch once, through
+/// [`WorkloadGenerator::next_branch`] (which builds none of the uops
+/// between branches), and, for each pair in order, predicts,
+/// estimates, records the matrix (and calls `on_measured` with the
+/// estimate and misprediction) after warm-up, then trains the
+/// predictor and the estimator.
 fn trace_loop(
     wl: &WorkloadConfig,
     pairs: &mut [TracePair<'_>],
@@ -323,11 +325,8 @@ fn trace_loop(
     let mut gen = WorkloadGenerator::new(wl);
     let mut cms = vec![ConfusionMatrix::new(); pairs.len()];
     let mut hist = 0u64;
-    let mut seen = 0u64;
-    while seen < warmup_branches + run_branches {
-        let u = gen.next_uop();
-        let Some(b) = u.branch else { continue };
-        seen += 1;
+    for seen in 1..=warmup_branches + run_branches {
+        let b = gen.next_branch();
         for ((predictor, estimator), cm) in pairs.iter_mut().zip(&mut cms) {
             let predicted_taken = predictor.predict(b.pc, hist);
             let ctx = EstimateCtx {

@@ -95,11 +95,8 @@ pub fn run(training: Training, bench: &str, scale: Scale) -> FigDensity {
     let mut full = DensityPair::new(full_range.0, full_range.1, full_range.2);
     let mut zoom = DensityPair::new(zoom_range.0, zoom_range.1, zoom_range.2);
     let mut hist = 0u64;
-    let mut seen = 0u64;
-    while seen < scale.warmup_branches + scale.run_branches {
-        let u = gen.next_uop();
-        let Some(b) = u.branch else { continue };
-        seen += 1;
+    for seen in 1..=scale.warmup_branches + scale.run_branches {
+        let b = gen.next_branch();
         let predicted_taken = predictor.predict(b.pc, hist);
         let ctx = EstimateCtx {
             pc: b.pc,

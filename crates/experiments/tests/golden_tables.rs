@@ -1,9 +1,9 @@
 //! Golden-value regression suite: reduced-scale runs of Table 2,
 //! Table 3 (all eight estimator design points over the twelve
-//! benchmarks), Table 4 (two estimators × representative design
-//! points), and the Figure 8 reversal+gating combination, compared
-//! field-by-field against checked-in expected JSON under
-//! `tests/golden/`.
+//! benchmarks), the Figures 4–7 output densities, Table 4 (two
+//! estimators × representative design points), and the Figure 8
+//! reversal+gating combination, compared field-by-field against
+//! checked-in expected JSON under `tests/golden/`.
 //!
 //! The simulator is bit-deterministic, so the tolerance is tight
 //! (1e-9 relative): these tests exist to catch *any* unintended change
@@ -18,7 +18,7 @@
 
 use perconf_experiments::common::{jrs, perceptron, BaselineSet, PredictorKind};
 use perconf_experiments::table4::{Table4, Table4Row};
-use perconf_experiments::{fig89, table2, table3, Scale};
+use perconf_experiments::{fig89, figs, table2, table3, Scale};
 use perconf_pipeline::PipelineConfig;
 use serde::{Key, Value};
 use std::path::PathBuf;
@@ -52,6 +52,17 @@ fn reduced_table2() -> table2::Table2 {
 /// twelve benchmarks.
 fn reduced_table3() -> table3::Table3 {
     table3::run(Scale::tiny())
+}
+
+/// Figures 4–5 at tiny scale: the `perceptron_cic` output density on
+/// gcc, full range and zoomed.
+fn reduced_fig45() -> figs::FigDensity {
+    figs::run(figs::Training::CorrectIncorrect, "gcc", Scale::tiny())
+}
+
+/// Figures 6–7 at tiny scale: the same for `perceptron_tnt`.
+fn reduced_fig67() -> figs::FigDensity {
+    figs::run(figs::Training::TakenNotTaken, "gcc", Scale::tiny())
 }
 
 /// Representative Table 4 design points: the paper's midrange JRS
@@ -178,6 +189,16 @@ fn table2_matches_golden() {
 #[test]
 fn table3_matches_golden() {
     assert_matches_golden("table3_tiny.json", &reduced_table3());
+}
+
+#[test]
+fn fig45_matches_golden() {
+    assert_matches_golden("fig45_tiny.json", &reduced_fig45());
+}
+
+#[test]
+fn fig67_matches_golden() {
+    assert_matches_golden("fig67_tiny.json", &reduced_fig67());
 }
 
 #[test]
@@ -321,6 +342,8 @@ fn regenerate_golden_files() {
     };
     write("table2_tiny.json", &reduced_table2());
     write("table3_tiny.json", &reduced_table3());
+    write("fig45_tiny.json", &reduced_fig45());
+    write("fig67_tiny.json", &reduced_fig67());
     write("table4_tiny.json", &reduced_table4());
     write("fig8_combo_tiny.json", &reduced_fig8());
 }

@@ -16,6 +16,14 @@
 //! because the benchmark's `pipeline.batch4_ratio` probe compiles
 //! against `new`, `try_run` and `width`; it goes once that probe does.
 //!
+//! `BatchSim` steps every member one cycle at a time through
+//! [`Simulation::try_step`], while [`Simulation::try_run`] jumps over
+//! idle cycles. So its tests below, which compare members with
+//! `try_run` legs, also check the skip against stepping. The
+//! benchmark's `pipeline.batch4_ratio` compares a four-member
+//! `BatchSim` with a one-member one: both sides step every cycle, so
+//! the probe sees none of the skip that every experiment's legs take.
+//!
 //! # Determinism contract
 //!
 //! For every batch width, member order, and interleave schedule,

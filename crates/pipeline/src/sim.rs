@@ -632,6 +632,12 @@ impl Simulation {
     /// Runs until `uops` further correct-path uops retire; returns the
     /// accumulated stats.
     ///
+    /// After a cycle in which nothing moved, it jumps over the idle
+    /// cycles up to the next timed event instead of stepping them, so
+    /// its results (statistics, state digest, counters and trace
+    /// events) are exactly those of a [`try_step`](Self::try_step)
+    /// loop run to the same retired count.
+    ///
     /// # Errors
     ///
     /// Returns a [`SimError`] when the pipeline stops making progress
@@ -641,7 +647,9 @@ impl Simulation {
         let target = self.stats.retired + uops;
         let deadline = self.now + uops.max(1_000) * 400;
         while self.stats.retired < target {
-            self.try_step()?;
+            if self.step_cycle()? {
+                self.skip_idle(deadline);
+            }
             if self.now >= deadline {
                 return Err(SimError::Stalled {
                     retired: self.stats.retired,
@@ -692,13 +700,19 @@ impl Simulation {
         }
     }
 
-    /// Advances one cycle.
+    /// Advances one cycle (never more: only [`try_run`](Self::try_run)
+    /// skips idle cycles).
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] when an internal invariant breaks this
     /// cycle (checked in release builds too).
     pub fn try_step(&mut self) -> Result<(), SimError> {
+        self.step_cycle().map(drop)
+    }
+
+    /// Advances one cycle; returns whether it was idle.
+    fn step_cycle(&mut self) -> Result<bool, SimError> {
         // One flag load per cycle picks the instantiation: the
         // profiled one pays a scope guard per stage, the plain one
         // (whose spans are `()`) is byte-for-byte the uninstrumented
@@ -789,21 +803,25 @@ impl Context {
     }
 
     /// One cycle on a machine the context has to itself, with a
-    /// `span` open around each stage.
+    /// `span` open around each stage. Returns whether the cycle was
+    /// idle: nothing retired, completed, issued, dispatched or was
+    /// fetched, and no gate increment fell due, so it changed nothing
+    /// but its counters (see [`skip_idle`](Self::skip_idle)).
     fn cycle<S>(
         &mut self,
         mem: &mut MemHierarchy,
         span: impl Fn(&'static str) -> S,
-    ) -> Result<(), SimError> {
+    ) -> Result<bool, SimError> {
+        let before = self.activity();
         self.tick();
         {
             let _s = span("sim/retire");
             self.retire();
         }
-        {
+        let completed = {
             let _s = span("sim/complete_resolve");
-            self.complete_and_resolve();
-        }
+            self.complete_and_resolve()
+        };
         {
             let _s = span("sim/issue");
             self.issue(mem, &mut self.units());
@@ -818,7 +836,78 @@ impl Context {
             self.fetch()?;
         }
         self.stats.cycles += 1;
-        Ok(())
+        Ok(!completed && self.ready.is_empty() && self.activity() == before)
+    }
+
+    /// What only a moving cycle changes: the retired, issued and
+    /// fetched totals, the ROB's length (which, without a retirement or
+    /// a completion's squash, only dispatch changes) and the pending
+    /// gate increments (which, without a fetch or a completion, only
+    /// falling due changes).
+    fn activity(&self) -> [u64; 5] {
+        let s = &self.stats;
+        [
+            s.retired,
+            s.executed_correct + s.executed_wrong,
+            s.fetched_correct + s.fetched_wrong,
+            self.rob.len() as u64,
+            self.gate_pending.len() as u64,
+        ]
+    }
+
+    /// Called after an idle cycle: jumps to the cycle before the next
+    /// timed event, at most `deadline`, and adds the idle cycle's
+    /// increments once per cycle skipped.
+    ///
+    /// Exact, because an idle cycle leaves the state as it found it, so
+    /// the next cycle repeats it unless a cycle number it tests comes
+    /// due. Those are: a completion bucket or `complete_far` entry, the
+    /// front-end head's `arrival`, the head of `gate_pending`, and
+    /// `redirect_until`. Everything else an idle cycle reads (the ROB
+    /// head, the scheduler, the structures dispatch waits on and the
+    /// gate) changes only in a cycle that moves.
+    fn skip_idle(&mut self, deadline: u64) {
+        let now = self.now;
+        let mut next = deadline;
+        if let Some(&h) = self.frontend.front() {
+            let arrival = self.arena.arrival[h as usize];
+            if arrival > now {
+                next = next.min(arrival);
+            }
+        }
+        if let Some(&(due, _)) = self.gate_pending.front() {
+            next = next.min(due);
+        }
+        if self.redirect_until > now {
+            next = next.min(self.redirect_until);
+        }
+        for &(_, _, at) in &self.complete_far {
+            next = next.min(at);
+        }
+        // The ring holds every other pending completion, each due
+        // within `COMPLETE_RING` cycles of now.
+        let ring_end = next.min(now + COMPLETE_RING as u64);
+        if let Some(t) = (now + 1..ring_end)
+            .find(|&t| !self.complete_ring[t as usize & COMPLETE_MASK].is_empty())
+        {
+            next = t;
+        }
+        let skipped = next.saturating_sub(now + 1);
+        if skipped == 0 {
+            return;
+        }
+        self.now += skipped;
+        self.stats.cycles += skipped;
+        self.stats.rob_occupancy_sum += self.rob.len() as u64 * skipped;
+        *self.retire_stall() += skipped;
+        if now < self.redirect_until {
+            self.stats.redirect_cycles += skipped;
+        } else if self.gated() {
+            self.stats.gated_cycles += skipped;
+            if self.tracer.enabled() {
+                self.gate_streak += skipped;
+            }
+        }
     }
 
     fn check_rob(&self) -> Result<(), SimError> {
@@ -884,32 +973,32 @@ impl Context {
             n += 1;
         }
         if n == 0 {
-            self.account_retire_stall();
+            *self.retire_stall() += 1;
         }
     }
 
-    /// Classifies why retirement made no progress this cycle, for the
-    /// stall-breakdown counters.
-    fn account_retire_stall(&mut self) {
+    /// The stall-breakdown counter that classifies why retirement
+    /// makes no progress in the current state.
+    fn retire_stall(&mut self) -> &mut u64 {
         let Some(&hi) = self.rob.front() else {
-            self.stats.stall_empty += 1;
-            return;
+            return &mut self.stats.stall_empty;
         };
         let h = hi as usize;
         if !self.arena.issued[h] {
             if self.deps_ready(h) {
-                self.stats.stall_fu += 1;
+                &mut self.stats.stall_fu
             } else {
-                self.stats.stall_deps += 1;
+                &mut self.stats.stall_deps
             }
         } else if self.arena.kind[h] == UopKind::Load {
-            self.stats.stall_load += 1;
+            &mut self.stats.stall_load
         } else {
-            self.stats.stall_exec += 1;
+            &mut self.stats.stall_exec
         }
     }
 
-    fn complete_and_resolve(&mut self) {
+    /// Returns whether any completion ticket fell due this cycle.
+    fn complete_and_resolve(&mut self) -> bool {
         // Event-driven: drain this cycle's completion bucket instead
         // of scanning the whole ROB. Due tickets are processed in seq
         // order — exactly the order the old oldest-first `position()`
@@ -935,7 +1024,7 @@ impl Context {
         }
         if due.is_empty() {
             self.complete_ring[b] = due;
-            return;
+            return false;
         }
         due.sort_unstable_by_key(|&(_, seq)| seq);
         for &(ticket, seq) in &due {
@@ -980,6 +1069,7 @@ impl Context {
         }
         due.clear();
         self.complete_ring[b] = due;
+        true
     }
 
     /// Files a completion ticket for slot `i` (seq `seq`) due at

@@ -53,7 +53,7 @@ const DEFAULT_STATE_DIR: &str = "serve-state";
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
-        usage();
+        eprintln!("{USAGE}");
         exit(i32::from(exitcode::USAGE));
     };
     let code = match cmd.as_str() {
@@ -64,35 +64,31 @@ fn main() {
         "ping" => cmd_simple(&argv[1..], &Request::Ping),
         "shutdown" => cmd_simple(&argv[1..], &Request::Shutdown),
         "--help" | "-h" | "help" => {
-            usage();
+            println!("{USAGE}");
             exitcode::OK
         }
         other => {
             eprintln!("unknown subcommand `{other}`");
-            usage();
+            eprintln!("{USAGE}");
             exitcode::USAGE
         }
     };
     exit(i32::from(code));
 }
 
-fn usage() {
-    eprintln!(
-        "usage: perconf-serve run [--state <dir>] [--addr <ip:port>] [--queue <n>]\n\
-         \x20                        [--actors <n>] [--jobs <n>] [--restarts <n>]\n\
-         \x20                        [--watchdog <secs>] [--cell-timeout <secs>]\n\
-         \x20      perconf-serve submit [--state <dir> | --addr <ip:port>]\n\
-         \x20                        (--spec <file.toml|file.json> |\n\
-         \x20                         --seed <n> [--tiny | --full] [--grid small|full])\n\
-         \x20                        [--json <dir>] [--chaos kill] [--no-wait]\n\
-         \x20      perconf-serve status --id <id> [--state <dir> | --addr <ip:port>]\n\
-         \x20      perconf-serve stats|ping|shutdown [--state <dir> | --addr <ip:port>]\n\n\
-         run: an experiment runs one batch group per grid row (its cells that differ only\n\
-         in fault rate), so --jobs parallelism inside it is at most its row count (2 for\n\
-         --grid small, 6 for --grid full), and --cell-timeout stays per cell: a row\n\
-         group's watchdog is that value times its pending cells."
-    );
-}
+const USAGE: &str = "usage: perconf-serve run [--state <dir>] [--addr <ip:port>] [--queue <n>]\n\
+     \x20                        [--actors <n>] [--jobs <n>] [--restarts <n>]\n\
+     \x20                        [--watchdog <secs>] [--cell-timeout <secs>]\n\
+     \x20      perconf-serve submit [--state <dir> | --addr <ip:port>]\n\
+     \x20                        (--spec <file.toml|file.json> |\n\
+     \x20                         --seed <n> [--tiny | --full] [--grid small|full])\n\
+     \x20                        [--json <dir>] [--chaos kill] [--no-wait]\n\
+     \x20      perconf-serve status --id <id> [--state <dir> | --addr <ip:port>]\n\
+     \x20      perconf-serve stats|ping|shutdown [--state <dir> | --addr <ip:port>]\n\n\
+     run: an experiment runs one batch group per grid row (its cells that differ only\n\
+     in fault rate), so --jobs parallelism inside it is at most its row count (2 for\n\
+     --grid small, 6 for --grid full), and --cell-timeout stays per cell: a row\n\
+     group's watchdog is that value times its pending cells.";
 
 /// Pulls the value after a `--flag`; `Err` if the flag is last.
 fn take_value(argv: &[String], i: &mut usize) -> Result<String, String> {
@@ -153,7 +149,7 @@ fn cmd_run(argv: &[String]) -> u8 {
         })();
         if let Err(e) = r {
             eprintln!("{e}");
-            usage();
+            eprintln!("{USAGE}");
             return exitcode::USAGE;
         }
         i += 1;
@@ -435,7 +431,7 @@ fn cmd_submit(argv: &[String]) -> u8 {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
-            usage();
+            eprintln!("{USAGE}");
             return exitcode::USAGE;
         }
     };

@@ -1,7 +1,8 @@
 //! `perconf-serve run` refuses a zero `--watchdog` or `--cell-timeout`
 //! as a usage error, before any server starts: a zero watchdog would
 //! time out every attempt at once and finalise every experiment
-//! degraded.
+//! degraded. Asked for help, the binary prints its usage to stdout and
+//! exits 0, like `repro`, `sim` and `validate`.
 
 // Test deadline: wall-clock never reaches asserted results.
 #![allow(clippy::disallowed_methods)]
@@ -51,5 +52,23 @@ fn zero_watchdogs_are_usage_errors_before_any_server_starts() {
             !state.exists(),
             "{flag} 0 must exit before the server creates its state"
         );
+    }
+}
+
+#[test]
+fn help_prints_the_usage_to_stdout_and_exits_zero() {
+    for flag in ["--help", "-h", "help"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_perconf-serve"))
+            .arg(flag)
+            .output()
+            .expect("run perconf-serve");
+        assert_eq!(out.status.code(), Some(i32::from(exitcode::OK)), "{flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("usage: perconf-serve run"),
+            "{flag}: {stdout}"
+        );
+        assert!(stdout.contains("perconf-serve submit"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag} wrote to stderr");
     }
 }

@@ -1,5 +1,5 @@
 use crate::spec::{Program, WorkloadConfig};
-use crate::uop::{Uop, UopKind};
+use crate::uop::{Branch, Uop, UopKind};
 use perconf_bpred::{Snapshot, SnapshotError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,8 +20,10 @@ const MAX_DEP_DISTANCE: u32 = 64;
 /// the global history register realistic, learnable structure.
 ///
 /// Correct-path uops come from [`next_uop`](Self::next_uop) (also
-/// available through the [`Iterator`] impl); wrong-path filler fetched
-/// past a mispredicted branch comes from
+/// available through the [`Iterator`] impl), and a consumer that reads
+/// only the branches takes them from [`next_branch`](Self::next_branch),
+/// which makes the same draws without building the uops between them.
+/// Wrong-path filler fetched past a mispredicted branch comes from
 /// [`next_wrong_path`](Self::next_wrong_path) and is drawn from an
 /// **independent RNG stream**, so the correct-path sequence is
 /// identical no matter how much wrong-path work a particular simulator
@@ -120,7 +122,7 @@ impl WorkloadGenerator {
     /// Returns the next correct-path uop.
     pub fn next_uop(&mut self) -> Uop {
         if self.queue.is_empty() {
-            self.refill_block();
+            self.block::<true>();
         }
         let u = self.queue.pop_front().expect("block refill produced uops");
         self.emitted += 1;
@@ -130,6 +132,25 @@ impl WorkloadGenerator {
             self.uops_since_load = (self.uops_since_load + 1).min(MAX_DEP_DISTANCE);
         }
         u
+    }
+
+    /// Returns the next correct-path branch, leaving the generator
+    /// exactly where a [`next_uop`](Self::next_uop) loop stops once it
+    /// has returned that branch: the same RNG draws, stream pointers,
+    /// path cursor, history, `emitted` count and state digest.
+    ///
+    /// It builds none of the uops in between, so a consumer that reads
+    /// only branches (a trace-level pass) skips their queueing and the
+    /// `ln` of each dependence distance.
+    pub fn next_branch(&mut self) -> Branch {
+        // Finish a block already queued (by `next_uop` calls, or a
+        // restore mid-block): every block ends with its branch.
+        while !self.queue.is_empty() {
+            if let Some(b) = self.next_uop().branch {
+                return b;
+            }
+        }
+        self.block::<false>()
     }
 
     /// Returns the next wrong-path filler uop (consumed by the
@@ -158,16 +179,24 @@ impl WorkloadGenerator {
             Uop::branch(pc, site as u32, taken, 1 + rng.gen_range(0..3))
         } else if x < c.branch_frac + c.load_frac {
             let addr = Self::mem_addr(&mut self.wp_streams, c, rng);
-            Uop::mem(UopKind::Load, addr, Self::dep(c, rng))
+            Uop::mem(UopKind::Load, addr, Self::dep::<true>(c, rng))
         } else if x < c.branch_frac + c.load_frac + c.store_frac {
             let addr = Self::mem_addr(&mut self.wp_streams, c, rng);
-            Uop::mem(UopKind::Store, addr, Self::dep(c, rng))
+            Uop::mem(UopKind::Store, addr, Self::dep::<true>(c, rng))
         } else if x < c.branch_frac + c.load_frac + c.store_frac + c.fp_frac {
-            Uop::alu(UopKind::Fp, Self::dep(c, rng), Self::dep(c, rng))
+            Uop::alu(
+                UopKind::Fp,
+                Self::dep::<true>(c, rng),
+                Self::dep::<true>(c, rng),
+            )
         } else if x < c.branch_frac + c.load_frac + c.store_frac + c.fp_frac + c.mul_frac {
-            Uop::alu(UopKind::IntMul, Self::dep(c, rng), 0)
+            Uop::alu(UopKind::IntMul, Self::dep::<true>(c, rng), 0)
         } else {
-            Uop::alu(UopKind::IntAlu, Self::dep(c, rng), Self::dep(c, rng))
+            Uop::alu(
+                UopKind::IntAlu,
+                Self::dep::<true>(c, rng),
+                Self::dep::<true>(c, rng),
+            )
         }
     }
 
@@ -190,8 +219,13 @@ impl WorkloadGenerator {
         site as usize
     }
 
-    fn refill_block(&mut self) {
-        // One block = `gap` plain uops followed by one branch.
+    /// Draws one block: `gap` plain uops followed by one branch, which
+    /// it returns. Building, it queues every uop of the block; drawing
+    /// only (`BUILD == false`), it makes exactly the same RNG draws and
+    /// cursor updates, queues nothing, and accounts the block's uops in
+    /// `emitted` and `uops_since_load` as `next_uop` would have popped
+    /// them. One body keeps the two draw sequences identical.
+    fn block<const BUILD: bool>(&mut self) -> Branch {
         let mean_gap = ((1.0 - self.cfg.branch_frac) / self.cfg.branch_frac).max(1.0);
         let lo = (mean_gap / 2.0).floor() as u32;
         let hi = (mean_gap * 1.5).ceil() as u32;
@@ -203,20 +237,20 @@ impl WorkloadGenerator {
         let mut since_load = self.uops_since_load;
         let plain = if data_dependent { gap - 1 } else { gap };
         for _ in 0..plain {
-            let u = self.sample_plain();
-            if u.kind == UopKind::Load {
+            if self.plain::<BUILD>() == UopKind::Load {
                 since_load = 0;
             } else {
                 since_load = (since_load + 1).min(MAX_DEP_DISTANCE);
             }
-            self.queue.push_back(u);
         }
         if data_dependent {
             // Data-dependent branches consume a freshly loaded value —
             // a pointer load that skips the L1-resident core region,
             // so branch resolution genuinely waits on the hierarchy.
             let addr = self.pointer_addr();
-            self.queue.push_back(Uop::mem(UopKind::Load, addr, 0));
+            if BUILD {
+                self.queue.push_back(Uop::mem(UopKind::Load, addr, 0));
+            }
             since_load = 0;
         }
 
@@ -232,8 +266,18 @@ impl WorkloadGenerator {
             1 + self.rng.gen_range(0..3)
         };
         let pc = self.program.sites[site_idx].pc;
-        self.queue
-            .push_back(Uop::branch(pc, site_idx as u32, outcome, src1));
+        if BUILD {
+            self.queue
+                .push_back(Uop::branch(pc, site_idx as u32, outcome, src1));
+        } else {
+            self.emitted += u64::from(gap) + 1;
+            self.uops_since_load = (since_load + 1).min(MAX_DEP_DISTANCE);
+        }
+        Branch {
+            pc,
+            site: site_idx as u32,
+            taken: outcome,
+        }
     }
 
     /// Address for a pointer load feeding a data-dependent branch:
@@ -245,41 +289,42 @@ impl WorkloadGenerator {
         self.rng.gen_range(0..(ws / 8).max(1)) * 8
     }
 
-    fn sample_plain(&mut self) -> Uop {
+    /// Draws one plain (non-branch) uop and returns its kind, queueing
+    /// the uop when building.
+    fn plain<const BUILD: bool>(&mut self) -> UopKind {
         let denom = 1.0 - self.cfg.branch_frac;
         let x: f64 = self.rng.gen::<f64>() * denom.max(f64::MIN_POSITIVE);
-        let (load_frac, store_frac, fp_frac, mul_frac) = (
-            self.cfg.load_frac,
-            self.cfg.store_frac,
-            self.cfg.fp_frac,
-            self.cfg.mul_frac,
-        );
-        if x < load_frac {
-            let addr = Self::mem_addr(&mut self.streams, &self.cfg, &mut self.rng);
+        let (c, rng, streams) = (&self.cfg, &mut self.rng, &mut self.streams);
+        let (kind, addr, src1, src2) = if x < c.load_frac {
+            let addr = Self::mem_addr(streams, c, rng);
             // Load addresses mostly come from induction variables and
             // are ready at dispatch; only pointer-chasing loads wait.
-            let src = if self.rng.gen::<f64>() < 0.75 {
+            let src = if rng.gen::<f64>() < 0.75 {
                 0
             } else {
-                Self::dep(&self.cfg, &mut self.rng)
+                Self::dep::<BUILD>(c, rng)
             };
-            Uop::mem(UopKind::Load, addr, src)
-        } else if x < load_frac + store_frac {
-            let addr = Self::mem_addr(&mut self.streams, &self.cfg, &mut self.rng);
-            let src = Self::dep(&self.cfg, &mut self.rng);
-            Uop::mem(UopKind::Store, addr, src)
-        } else if x < load_frac + store_frac + fp_frac {
-            let s1 = Self::dep(&self.cfg, &mut self.rng);
-            let s2 = Self::dep(&self.cfg, &mut self.rng);
-            Uop::alu(UopKind::Fp, s1, s2)
-        } else if x < load_frac + store_frac + fp_frac + mul_frac {
-            let s1 = Self::dep(&self.cfg, &mut self.rng);
-            Uop::alu(UopKind::IntMul, s1, 0)
+            (UopKind::Load, addr, src, 0)
+        } else if x < c.load_frac + c.store_frac {
+            let addr = Self::mem_addr(streams, c, rng);
+            (UopKind::Store, addr, Self::dep::<BUILD>(c, rng), 0)
+        } else if x < c.load_frac + c.store_frac + c.fp_frac {
+            let s1 = Self::dep::<BUILD>(c, rng);
+            (UopKind::Fp, 0, s1, Self::dep::<BUILD>(c, rng))
+        } else if x < c.load_frac + c.store_frac + c.fp_frac + c.mul_frac {
+            (UopKind::IntMul, 0, Self::dep::<BUILD>(c, rng), 0)
         } else {
-            let s1 = Self::dep(&self.cfg, &mut self.rng);
-            let s2 = Self::dep(&self.cfg, &mut self.rng);
-            Uop::alu(UopKind::IntAlu, s1, s2)
+            let s1 = Self::dep::<BUILD>(c, rng);
+            (UopKind::IntAlu, 0, s1, Self::dep::<BUILD>(c, rng))
+        };
+        if BUILD {
+            self.queue.push_back(if kind.is_mem() {
+                Uop::mem(kind, addr, src1)
+            } else {
+                Uop::alu(kind, src1, src2)
+            });
         }
+        kind
     }
 
     fn mem_addr(streams: &mut [u64; STREAM_COUNT], c: &WorkloadConfig, rng: &mut SmallRng) -> u64 {
@@ -308,16 +353,20 @@ impl WorkloadGenerator {
         }
     }
 
-    fn dep(c: &WorkloadConfig, rng: &mut SmallRng) -> u32 {
+    fn dep<const BUILD: bool>(c: &WorkloadConfig, rng: &mut SmallRng) -> u32 {
         // Geometric-ish dependence distance around `dep_mean`; 0 means
         // no dependence. Distances are kept short so typical code forms
         // deep dependence chains — that is what delays branch
         // resolution past dispatch and lets wrong-path work issue, as
-        // on real machines.
+        // on real machines. Drawing only, it makes the same two draws
+        // and skips the `ln`.
         if rng.gen::<f64>() < 0.20 {
             return 0;
         }
         let u: f64 = rng.gen::<f64>().max(1e-12);
+        if !BUILD {
+            return 0;
+        }
         let d = 1.0 + (-u.ln()) * (c.dep_mean - 1.0).max(0.1);
         (d as u32).clamp(1, MAX_DEP_DISTANCE)
     }

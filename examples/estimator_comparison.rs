@@ -22,12 +22,9 @@ fn evaluate(
     let mut predictor = baseline_bimodal_gshare();
     let mut history = 0u64;
     let mut cm = ConfusionMatrix::new();
-    let mut seen = 0u64;
     let warmup = 100_000;
-    while seen < 400_000 {
-        let u = gen.next_uop();
-        let Some(b) = u.branch else { continue };
-        seen += 1;
+    for seen in 1..=400_000 {
+        let b = gen.next_branch();
         let predicted_taken = predictor.predict(b.pc, history);
         let ctx = EstimateCtx {
             pc: b.pc,

@@ -27,12 +27,9 @@ fn main() {
     //    the pipeline does at fetch and retirement.
     let mut history = 0u64;
     let mut cm = ConfusionMatrix::new();
-    let mut seen = 0u64;
     let warmup = 50_000;
-    while seen < 250_000 {
-        let uop = gen.next_uop();
-        let Some(branch) = uop.branch else { continue };
-        seen += 1;
+    for seen in 1..=250_000 {
+        let branch = gen.next_branch();
 
         let predicted_taken = predictor.predict(branch.pc, history);
         let ctx = EstimateCtx {
