@@ -198,8 +198,8 @@ fn rule_filter_restricts_output() {
     assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
 }
 
-/// The acceptance-criterion invariant: `perconf-lint --workspace`
-/// exits 0 on this tree. Every legitimate exception is annotated in
+/// The tree-wide invariant: `perconf-lint --workspace` exits 0 on
+/// this tree. Every legitimate exception is annotated in
 /// place, so any new finding is a regression.
 #[test]
 fn workspace_is_clean() {
